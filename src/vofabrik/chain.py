@@ -12,8 +12,7 @@ along by the joint rotations, so frames never roll about the link axis.
 
 Decomposing a link direction back into angles is the inverse projection:
 pitch = asin(d . up), yaw = atan2(d . left, d . forward). The antiparallel
-fold (a link pointing straight back along its parent) is rejected as a
-singularity rather than silently mapped to yaw = pi.
+fold (a link pointing straight back along its parent) comes out as yaw = pi.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Capsule3, Segment3, as_vec3, normalize
-
-ANTIPARALLEL_TOLERANCE = 1e-9  # rad
+from .geometry import Capsule3, Segment3, as_vec3
 
 
 class AngleOutOfLimits(ValueError):
@@ -43,14 +40,6 @@ class AngleOutOfLimits(ValueError):
 
 class InconsistentPositions(ValueError):
     """Positions do not satisfy the rigid-link lengths."""
-
-
-class GimbalSingularity(ValueError):
-    """A link direction is antiparallel to its parent; angles are ill-defined."""
-
-    def __init__(self, joint: int):
-        self.joint = joint
-        super().__init__(f"link after joint {joint} is antiparallel to its parent link")
 
 
 class JointAngles(NamedTuple):
@@ -114,10 +103,6 @@ class JointFrame(NamedTuple):
     forward: np.ndarray
     up: np.ndarray
 
-    @property
-    def left(self) -> np.ndarray:
-        return cross3(self.up, self.forward)
-
 
 def advance_frame(frame: JointFrame, pitch: float, yaw: float):
     """Apply yaw about up, then pitch about the yawed lateral axis.
@@ -149,8 +134,7 @@ def angles_from_direction(frame: JointFrame, direction: np.ndarray) -> JointAngl
     """Recover (pitch, yaw) of a unit link direction in the parent frame.
 
     yaw comes out in (-pi, pi], pitch in [-pi/2, pi/2]. The direction is
-    assumed unit length; no singularity check happens here (see
-    angles_from_positions for the strict variant).
+    assumed unit length; no singularity check happens here.
     """
     fx, fy, fz = frame.forward.tolist()
     ux, uy, uz = frame.up.tolist()
@@ -299,40 +283,6 @@ def fk(model: ChainModel, angles, check_limits: bool = True, limit_tol: float = 
         d, frame = advance_frame(frame, a[j, 0], a[j, 1])
         positions[j + 1] = positions[j] + model.lengths[j] * d
     return positions
-
-
-def angles_from_positions(model: ChainModel, positions) -> np.ndarray:
-    """Recover per-joint (pitch, yaw) from joint positions.
-
-    The positions must satisfy the rigid-link lengths within 1e-6 m.
-    Raises GimbalSingularity when a link direction is antiparallel to its
-    parent within ANTIPARALLEL_TOLERANCE.
-    """
-    p = np.asarray(positions, dtype=float)
-    if p.shape != (model.n_links + 1, 3):
-        raise InconsistentPositions(
-            f"expected {model.n_links + 1} positions, got shape {p.shape}"
-        )
-    seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
-    err = np.abs(seg - model.lengths)
-    if np.any(err > 1e-6):
-        k = int(np.argmax(err))
-        raise InconsistentPositions(
-            f"link {k} length {seg[k]:.12g} deviates from {model.lengths[k]:.12g} "
-            f"by more than 1e-6 m"
-        )
-
-    angles = np.empty((model.n_links, 2))
-    frame = model.base_frame()
-    cos_fold = -math.cos(ANTIPARALLEL_TOLERANCE)
-    for j in range(model.n_links):
-        d = (p[j + 1] - p[j]) / seg[j]
-        if float(np.dot(d, frame.forward)) <= cos_fold:
-            raise GimbalSingularity(j)
-        pitch, yaw = angles_from_direction(frame, d)
-        angles[j] = (pitch, yaw)
-        _, frame = advance_frame(frame, pitch, yaw)
-    return angles
 
 
 def state_from_angles(model: ChainModel, angles, check_limits: bool = True) -> ChainState:

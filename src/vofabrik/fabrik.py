@@ -40,10 +40,6 @@ from .chain import (
 from .geometry import DEGENERACY_THRESHOLD, as_vec3
 
 
-class DegenerateDirection(ValueError):
-    """Reaching step between coincident points has no direction."""
-
-
 class Phase(Enum):
     BACKWARD = "backward"
     FORWARD = "forward"
@@ -93,26 +89,6 @@ def clamp_to_limits(pitch: float, yaw: float, limits: JointLimits):
 
 def _default_chooser(phase, joint, desired, limits, frame, pivot, positions):
     return clamp_to_limits(desired.pitch, desired.yaw, limits)
-
-
-def _reach(anchor: np.ndarray, toward: np.ndarray, link_length: float) -> np.ndarray:
-    if link_length <= 0.0:
-        raise ValueError(f"link length must be > 0, got {link_length}")
-    delta = toward - anchor
-    n = math.sqrt(float(delta @ delta))
-    if n < DEGENERACY_THRESHOLD:
-        raise DegenerateDirection("reaching step between coincident points")
-    return anchor + (link_length / n) * delta
-
-
-def backward_step(p_child_new, p_current_old, link_length: float) -> np.ndarray:
-    """Reposition a joint at link_length from the already-updated child."""
-    return _reach(as_vec3(p_child_new), as_vec3(p_current_old), link_length)
-
-
-def forward_step(p_parent_new, p_current_old, link_length: float) -> np.ndarray:
-    """Reposition a joint at link_length from the already-updated parent."""
-    return _reach(as_vec3(p_parent_new), as_vec3(p_current_old), link_length)
 
 
 def _entry_directions(positions: np.ndarray) -> np.ndarray:

@@ -33,18 +33,6 @@ def as_vec3(v) -> np.ndarray:
     return a
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Unit vector along v. Raises on near-zero input."""
-    n = float(np.linalg.norm(v))
-    if n < DEGENERACY_THRESHOLD:
-        raise DegenerateSegment(f"cannot normalize near-zero vector (norm {n:g})")
-    return v / n
-
-
 @dataclass
 class Segment3:
     """Directed segment from a to b."""

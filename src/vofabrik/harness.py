@@ -361,10 +361,7 @@ class TrajectoryRecord:
         return self.angles.shape[1]
 
     def header(self):
-        cols = ["step", "t"]
-        for k in range(self.n_links):
-            cols += [f"alpha_{k}_pitch", f"alpha_{k}_yaw"]
-        return cols + ["ee_x", "ee_y", "ee_z", "min_clearance", "wall_time"]
+        return _header(self.n_links)
 
     def write_csv(self, path) -> None:
         """17-significant-digit CSV; round-trips through read_csv bit-exactly."""
@@ -389,7 +386,7 @@ class TrajectoryRecord:
         if len(header) < 9 or (len(header) - 7) % 2 != 0:
             raise ParseError(f"{path}: header has {len(header)} columns, expected 2n+7")
         n = (len(header) - 7) // 2
-        expected = _expected_header(n)
+        expected = _header(n)
         if header != expected:
             bad = next(i for i, (a, b) in enumerate(zip(header, expected)) if a != b)
             raise ParseError(f"{path}: column {bad} is {header[bad]!r}, expected {expected[bad]!r}")
@@ -419,9 +416,9 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _expected_header(n):
+def _header(n_links):
     cols = ["step", "t"]
-    for k in range(n):
+    for k in range(n_links):
         cols += [f"alpha_{k}_pitch", f"alpha_{k}_yaw"]
     return cols + ["ee_x", "ee_y", "ee_z", "min_clearance", "wall_time"]
 

@@ -1,5 +1,5 @@
-"""Obstacle-aware reaching: per-link collision cones folded into the
-solver's angle chooser, plus the outer loop stepping the end effector
+"""Obstacle-aware reaching: per-link forbidden angle cells folded into
+the solver's angle chooser, plus the outer loop stepping the end effector
 toward the goal under velocity-obstacle guidance.
 
 Safe angles are computed by conservative rasterization. For each sphere
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainModel, ChainState, JointAngles, JointLimits, cross3
+from .chain import ChainModel, ChainState, cross3
 from .fabrik import (
     FabrikConfig,
     Phase,
@@ -121,89 +121,6 @@ class PlanOutcome:
     per_step_metrics: list  # StepMetrics, one per transition
 
 
-@dataclass(frozen=True)
-class AngularRegion:
-    """Union of closed axis-aligned rectangles in (pitch, yaw) space.
-
-    Rectangle interiors are pairwise disjoint; boundaries may touch.
-    Zero-width rectangles are legitimate (a collapsed 1-DoF axis).
-    """
-
-    allowed: tuple
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.allowed) == 0
-
-    def contains(self, pitch: float, yaw: float) -> bool:
-        return any(
-            plo <= pitch <= phi and ylo <= yaw <= yhi
-            for plo, phi, ylo, yhi in self.allowed
-        )
-
-    def nearest(self, pitch: float, yaw: float):
-        """Closest point of the region; ties by smaller pitch, then yaw."""
-        best = None
-        for plo, phi, ylo, yhi in self.allowed:
-            cp = min(max(pitch, plo), phi)
-            cy = min(max(yaw, ylo), yhi)
-            key = ((cp - pitch) ** 2 + (cy - yaw) ** 2, cp, cy)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            raise SafeSetEmpty()
-        return best[1], best[2]
-
-
-def compute_safe(safe: AngularRegion, desired: JointAngles) -> JointAngles:
-    """Desired angles if safe, else the nearest point of the safe set."""
-    if safe.is_empty:
-        raise SafeSetEmpty()
-    if safe.contains(desired.pitch, desired.yaw):
-        return desired
-    return JointAngles(*safe.nearest(desired.pitch, desired.yaw))
-
-
-def virtual_obstacles(
-    model: ChainModel, state: ChainState, link_index: int, phase: Phase
-) -> list:
-    """Static spheres at the closest points of sweep-remaining links.
-
-    During the backward phase link k pivots at p_{k+1} and the links still
-    to be visited lie toward the base (j <= k - 2); forward is the mirror
-    (j >= k + 2). The adjacent link is skipped — it shares the pivot.
-    Zero-thickness links produce no sphere.
-    """
-    if not 0 <= link_index < model.n_links:
-        raise ValueError(f"link_index {link_index} out of range")
-    positions = state.positions
-    pivot = positions[link_index + 1] if phase is Phase.BACKWARD else positions[link_index]
-    centers, radii = _virtual_sphere_arrays(
-        positions, model.thicknesses, link_index, phase, pivot
-    )
-    return [
-        SphereObstacle(center=c, radius=r) for c, r in zip(centers, radii)
-    ]
-
-
-def _virtual_sphere_arrays(positions, thicknesses, link_index, phase, pivot):
-    n = len(thicknesses)
-    if phase is Phase.BACKWARD:
-        j0, j1 = 0, link_index - 1
-    else:
-        j0, j1 = link_index + 2, n
-    if j1 <= j0:
-        return np.empty((0, 3)), np.empty(0)
-    a = positions[j0:j1]
-    b = positions[j0 + 1 : j1 + 1]
-    d = b - a
-    t = np.einsum("ij,ij->i", pivot[None, :] - a, d) / np.einsum("ij,ij->i", d, d)
-    closest = a + np.clip(t, 0.0, 1.0)[:, None] * d
-    radii = np.asarray(thicknesses[j0:j1], dtype=float)
-    keep = radii > 0.0
-    return closest[keep], radii[keep]
-
-
 def _axis_grid(lo: float, hi: float, resolution: float):
     """Cell edges and centers covering [lo, hi] at most `resolution` wide."""
     if hi <= lo:
@@ -213,19 +130,6 @@ def _axis_grid(lo: float, hi: float, resolution: float):
     edges[-1] = hi
     centers = 0.5 * (edges[:-1] + edges[1:])
     return edges, centers
-
-
-def _grid_lip(length: float, pitch_edges: np.ndarray, yaw_edges: np.ndarray) -> float:
-    """Worst-case clearance variation across one grid cell, slightly padded.
-
-    Any angle pair sits within half a cell diagonal of its cell's center,
-    and moving the link tip by an arc of that size changes any point-to-
-    capsule distance by at most `length` times it. Collapsed axes have
-    zero-width cells and contribute nothing.
-    """
-    sp = float(pitch_edges[1] - pitch_edges[0])
-    sy = float(yaw_edges[1] - yaw_edges[0])
-    return length * 0.5 * math.hypot(sp, sy) * 1.0001
 
 
 def _rect_difference(rects, cut):
@@ -301,11 +205,19 @@ def _hit_cells(pitch, yaw, proj, length, reach):
     return d2 <= reach * reach
 
 
-class _ConeConstraints:
-    """Angle chooser enforcing cone-derived forbidden regions.
+class ConeConstraints:
+    """The planner's angle chooser (a fabrik AngleChooser).
 
-    One instance is built per ik_phase call and invoked at every link
-    visit of every half-iteration with the sweep's working positions.
+    Forbids the (pitch, yaw) cells that would bring the link within touch
+    of an obstacle or a virtual self-sphere, and returns the desired angles
+    clamped to the limits, or the nearest safe angles when those fall in a
+    forbidden cell. plan and ik_phase build one per call; fabrik.solve
+    invokes it at every link visit with the sweep's working positions.
+
+    Call order: each sweep must start at its first joint (backward: n - 1,
+    forward: 0), as fabrik.solve does, because that call caches the
+    sweep's segment geometry for the virtual self-spheres; a call at a
+    later joint of a sweep never started fails on a chain with thick links.
     """
 
     def __init__(self, model: ChainModel, obstacles: Sequence[SphereObstacle], cfg: PlannerConfig):
@@ -528,55 +440,6 @@ class _ConeConstraints:
         return best[1], best[2]
 
 
-def cone_to_angular_constraints(
-    cone,
-    pivot,
-    frame,
-    limits: JointLimits,
-    link_length: float,
-    link_thickness: float,
-    resolution: float,
-) -> AngularRegion:
-    """Forbidden (pitch, yaw) region for one cone, as grid-cell rectangles.
-
-    A cell is forbidden when a link of the given length and thickness,
-    pivoting at `pivot` with angles at the cell center measured in
-    `frame`, would touch the cone's generating sphere (center one
-    truncation distance along the axis, radius = combined radius),
-    inflated by the cell-coverage bound. Conservative: a superset of the
-    exactly-colliding set, overshooting by at most about one cell.
-    """
-    pivot = as_vec3(pivot)
-    center = pivot + cone.axis * cone.truncation_distance
-    pe, pc = _axis_grid(limits.pitch_min, limits.pitch_max, resolution)
-    ye, yc = _axis_grid(limits.yaw_min, limits.yaw_max, resolution)
-    f, u = frame.forward, frame.up
-    lat = cross3(u, f)
-    rel = center - pivot
-    touch = cone.combined_radius + link_thickness
-    lip = _grid_lip(link_length, pe, ye)
-    proj = (
-        float(np.dot(rel, f)),
-        float(np.dot(rel, lat)),
-        float(np.dot(rel, u)),
-        float(np.dot(rel, rel)),
-    )
-    hit = _hit_cells(pc, yc, proj, link_length, touch + lip)
-    rects = []
-    for i in range(hit.shape[0]):
-        j = 0
-        while j < hit.shape[1]:
-            if hit[i, j]:
-                j_end = j
-                while j_end + 1 < hit.shape[1] and hit[i, j_end + 1]:
-                    j_end += 1
-                rects.append((pe[i], pe[i + 1], ye[j], ye[j_end + 1]))
-                j = j_end + 1
-            else:
-                j += 1
-    return AngularRegion(tuple(rects))
-
-
 def ik_phase(
     model: ChainModel,
     state: ChainState,
@@ -585,7 +448,7 @@ def ik_phase(
     cfg: PlannerConfig,
 ) -> SolveOutcome:
     """One constrained IK solve toward a nearby end-effector target."""
-    chooser = _ConeConstraints(model, obstacles, cfg)
+    chooser = ConeConstraints(model, obstacles, cfg)
     return fabrik_solve(model, state, target_pn, cfg.ik, choose_angles=chooser)
 
 
@@ -653,7 +516,7 @@ def plan(
                 f"initial clearance {clearance:.6g} m is not positive"
             )
 
-    chooser = _ConeConstraints(model, obstacles, cfg) if solver == "vofabrik" else None
+    chooser = ConeConstraints(model, obstacles, cfg) if solver == "vofabrik" else None
     trajectory = [initial_state.copy()]
     metrics: list = []
     recent: list = []

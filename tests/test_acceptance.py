@@ -5,9 +5,11 @@ line. Every oracle here is independent of the code it checks: collision
 truth comes from a forward simulation, region truth from dense
 point-to-segment sampling, and the two-link solutions from the
 circle-intersection closed form. The two 19-DoF cavity scenarios are
-planned once in a module fixture and shared by the first four tests.
+planned once in a module fixture and shared by the first three tests and
+the golden-digest test.
 """
 
+import hashlib
 import math
 import time
 from types import SimpleNamespace
@@ -15,19 +17,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from chooser_oracle import ChooserCase
 from vofabrik import (
-    AngularRegion,
     ChainModel,
-    JointAngles,
     JointLimits,
+    Phase,
     PlanStatus,
     PlannerConfig,
     SolveStatus,
     SphereObstacle,
     VOConfig,
     collision_cone,
-    compute_safe,
-    cone_to_angular_constraints,
     in_cone,
     load_scenario,
     make_report,
@@ -39,10 +39,20 @@ from vofabrik import (
     state_from_angles,
     validate_trajectory,
 )
-from vofabrik.chain import joint_frames
 
 UNLIMITED = JointLimits.unlimited()
 CAVITY_NAMES = ("cavity_19dof", "cavity_19dof_extended")
+
+# SHA-256 of each shipped scenario's trajectory CSV with the wall_time field
+# cut from every line, lines joined by "\n" with no trailing newline
+# (Python 3.11.7, numpy 2.4.6). An intended change of planning behaviour
+# updates these and says why.
+GOLDEN_DIGESTS = {
+    "cavity_19dof": "0e97c4dd6d03ad3456a7fccd3a4a448de92757efadeb1bc1a68c44b1ad5c7861",
+    "cavity_19dof_extended": "1ea901857ef4f2593e79f624653b7b93c40ee64253e3f8b89f1c6809397ff186",
+    "planar_2link": "900d75e8984af2fb54a6cec3016c11713ed2877f2ce86d5602c3fe859b066c0c",
+    "planar_3link": "7d8fee4ccee03fa2fd0d6ae3419a367186a707b3971575946922e689e8a816b9",
+}
 
 
 def free_chain(rng, n, length_range=(0.05, 0.12)):
@@ -145,6 +155,29 @@ class TestAcceptance:
                 texts.append(path.read_text(encoding="utf-8"))
             assert strip_wall(texts[0]) == strip_wall(texts[1]), name
         print("criterion 4 PASS - trajectories repeat byte-for-byte (wall column aside)")
+
+    def test_shipped_trajectories_match_golden_digests(self, cavity_runs, tmp_path):
+        """Every shipped scenario replans to the recorded trajectory, bit for bit."""
+        records = {name: run.record for name, run in cavity_runs.items()}
+        for name in ("planar_2link", "planar_3link"):
+            scenario = load_scenario(scenario_path(name))
+            outcome = plan(
+                scenario.chain,
+                scenario.initial_state(),
+                scenario.goal,
+                scenario.obstacles,
+                scenario.planner,
+                solver="vofabrik",
+            )
+            records[name] = record_from_outcome(scenario, outcome)
+        for name, record in records.items():
+            path = tmp_path / f"{name}.csv"
+            record.write_csv(path)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            stripped = "\n".join(line.rsplit(",", 1)[0] for line in lines)
+            digest = hashlib.sha256(stripped.encode("utf-8")).hexdigest()
+            assert digest == GOLDEN_DIGESTS[name], (name, digest)
+        print("golden digests PASS - all four shipped trajectories unchanged")
 
     def test_criterion_5_reduces_to_plain_fabrik_without_obstacles(self):
         """No obstacles + unlimited joints: both solvers emit bit-identical states."""
@@ -292,118 +325,93 @@ class TestAcceptance:
 
     def test_criterion_8_forbidden_regions_match_dense_oracle(self):
         """Planar-toy forbidden sets: superset of truth, <= one extra cell deep."""
-        resolution = PlannerConfig().angular_resolution
         samples = 3600
         checked = []
         for scenario_name, joint in (("planar_2link", 0), ("planar_3link", 1)):
             scenario = load_scenario(scenario_path(scenario_name))
-            model = scenario.chain
-            state = scenario.initial_state()
-            frame = joint_frames(model, state.angles)[joint]
-            pivot = state.positions[joint]
-            limits = model.limits[joint]
-            length = model.links[joint].length
-            thickness = model.links[joint].thickness
-            obstacle = scenario.obstacles[0]
-
-            cone = collision_cone(pivot, thickness, obstacle)
-            region = cone_to_angular_constraints(
-                cone, pivot, frame, limits, length, 0.0, resolution
-            )
-            assert not region.is_empty, scenario_name
-
+            resolution = scenario.planner.angular_resolution
+            limits = scenario.chain.limits[joint]
             lo, hi = limits.yaw_min, limits.yaw_max
             ys = np.linspace(lo, hi, samples)
+            zeros = np.zeros_like(ys)
             spacing = (hi - lo) / (samples - 1)
-            forward, up = frame.forward, frame.up
-            lateral = np.cross(up, forward)
-            touch = obstacle.radius + thickness
-
-            # dense truth: capsule around the link vs the obstacle sphere
-            tips = pivot + length * (
-                np.outer(np.cos(ys), forward) + np.outer(np.sin(ys), lateral)
-            )
-            rel = obstacle.center - pivot
-            t = np.clip((tips - pivot) @ rel / length**2, 0.0, 1.0)
-            closest = pivot + t[:, None] * (tips - pivot)
-            exact = np.linalg.norm(obstacle.center - closest, axis=1) <= touch
-            marked = np.array([region.contains(0.0, float(y)) for y in ys])
-
-            assert np.all(marked[exact]), scenario_name  # superset of truth
-
             step = (hi - lo) / max(1, math.ceil((hi - lo) / resolution))
-
-            def intervals(mask, _ys=ys):
-                out, i = [], 0
-                while i < len(mask):
-                    if mask[i]:
-                        j = i
-                        while j + 1 < len(mask) and mask[j + 1]:
-                            j += 1
-                        out.append((float(_ys[i]), float(_ys[j])))
-                        i = j + 1
-                    else:
-                        i += 1
-                return out
-
-            exact_iv = intervals(exact)
-            max_excess = 0.0
-            for marked_lo, marked_hi in intervals(marked):
-                inside = [
-                    iv
-                    for iv in exact_iv
-                    if iv[0] >= marked_lo - spacing and iv[1] <= marked_hi + spacing
-                ]
-                assert inside, (scenario_name, marked_lo, marked_hi)
-                max_excess = max(
-                    max_excess, inside[0][0] - marked_lo, marked_hi - inside[-1][1]
+            for phase in (Phase.BACKWARD, Phase.FORWARD):
+                where = (scenario_name, joint, phase.value)
+                case = ChooserCase(
+                    scenario.chain,
+                    scenario.initial_state(),
+                    scenario.obstacles,
+                    phase,
+                    joint,
+                    scenario.planner,
                 )
-            # the exact boundary lands inside a grid cell; the marked region
-            # may cover the rest of that cell plus at most one more cell
-            assert max_excess <= 2.0 * step + spacing, (scenario_name, max_excess / step)
+                # dense truth: the link's center line against the
+                # margin-inclusive touch sphere; marked = moved by the chooser
+                exact = case.clearance(zeros, ys) <= 0.0
+                picks = case.choose(zeros, ys)
+                marked = picks[:, 1] != ys
+                assert exact.any() and np.all(picks[:, 0] == 0.0), where
+                assert np.all(marked[exact]), where  # superset of truth
 
-            # compute_safe must agree with a dense grid search over the
-            # complement, to within one grid cell
-            bounds = sorted((r[2], r[3]) for r in region.allowed)
-            safe_rects, cursor = [], lo
-            for ylo, yhi in bounds:
-                if ylo > cursor:
-                    safe_rects.append((0.0, 0.0, cursor, ylo))
-                cursor = max(cursor, yhi)
-            if cursor < hi:
-                safe_rects.append((0.0, 0.0, cursor, hi))
-            safe = AngularRegion(tuple(safe_rects))
+                def intervals(mask, _ys=ys):
+                    out, i = [], 0
+                    while i < len(mask):
+                        if mask[i]:
+                            j = i
+                            while j + 1 < len(mask) and mask[j + 1]:
+                                j += 1
+                            out.append((float(_ys[i]), float(_ys[j])))
+                            i = j + 1
+                        else:
+                            i += 1
+                    return out
 
-            band_mid = (bounds[0][0] + bounds[-1][1]) / 2.0
-            worst_gap = 0.0
-            for delta in (-0.9, -0.3, 0.123, 0.47, 0.81):
-                desired = JointAngles(0.0, float(np.clip(band_mid + delta, lo, hi)))
-                chosen = compute_safe(safe, desired)
+                exact_iv = intervals(exact)
+                max_excess = 0.0
+                for marked_lo, marked_hi in intervals(marked):
+                    inside = [
+                        iv
+                        for iv in exact_iv
+                        if iv[0] >= marked_lo - spacing and iv[1] <= marked_hi + spacing
+                    ]
+                    assert inside, (where, marked_lo, marked_hi)
+                    max_excess = max(
+                        max_excess, inside[0][0] - marked_lo, marked_hi - inside[-1][1]
+                    )
+                # the exact boundary lands inside a grid cell; the marked
+                # region may cover the rest of that cell plus at most one more
+                assert max_excess <= 2.0 * step + spacing, (where, max_excess / step)
+
+                # every pick is truly clear, and no farther from the desired
+                # yaw than the nearest unmarked sample, to within one grid
+                # cell; distances, not positions, because both edges of a
+                # band are equally near at its midpoint
+                assert np.all(case.clearance(zeros[marked], picks[marked, 1]) > 0.0), where
                 clear_ys = ys[~marked]
-                nearest = float(clear_ys[np.argmin(np.abs(clear_ys - desired.yaw))])
-                worst_gap = max(worst_gap, abs(chosen.yaw - nearest))
-            assert worst_gap <= resolution + spacing, (scenario_name, worst_gap)
-            checked.append(
-                f"{scenario_name} joint {joint}: +{max_excess / step:.2f} cells, "
-                f"safe-pick gap {worst_gap:.4f} rad"
-            )
+                worst_gap = 0.0
+                for desired, chosen in zip(ys[marked], picks[marked, 1]):
+                    nearest = float(np.min(np.abs(clear_ys - desired)))
+                    worst_gap = max(worst_gap, abs(chosen - desired) - nearest)
+                assert worst_gap <= resolution + spacing, (where, worst_gap)
+                checked.append(
+                    f"{scenario_name} joint {joint} {phase.value}: "
+                    f"+{max_excess / step:.2f} cells, safe-pick gap {worst_gap:.4f} rad"
+                )
 
         # a joint that cannot reach the obstacle is not constrained at all
         scenario = load_scenario(scenario_path("planar_3link"))
-        state = scenario.initial_state()
-        cone = collision_cone(
-            state.positions[0], scenario.chain.links[0].thickness, scenario.obstacles[0]
+        case = ChooserCase(
+            scenario.chain,
+            scenario.initial_state(),
+            scenario.obstacles,
+            Phase.FORWARD,
+            0,
+            scenario.planner,
         )
-        untouched = cone_to_angular_constraints(
-            cone,
-            state.positions[0],
-            joint_frames(scenario.chain, state.angles)[0],
-            scenario.chain.limits[0],
-            scenario.chain.links[0].length,
-            0.0,
-            resolution,
-        )
-        assert untouched.is_empty
+        ys = np.linspace(scenario.chain.limits[0].yaw_min, scenario.chain.limits[0].yaw_max, samples)
+        zeros = np.zeros_like(ys)
+        assert np.array_equal(case.choose(zeros, ys), np.column_stack([zeros, ys]))
         print(f"criterion 8 PASS - {'; '.join(checked)}")
 
     def test_criterion_9_two_link_targets_match_closed_form(self):

@@ -15,14 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vofabrik.chain import ChainModel, JointLimits, state_from_angles
-from vofabrik.fabrik import (
-    DegenerateDirection,
-    FabrikConfig,
-    SolveStatus,
-    backward_step,
-    forward_step,
-    solve,
-)
+from vofabrik.fabrik import FabrikConfig, SolveStatus, solve
 
 UNLIMITED = JointLimits.unlimited()
 
@@ -46,40 +39,6 @@ def distance_to_elbow_circle(p1, target, a, b):
     axial = float(np.dot(p1, axis))
     perp = float(np.linalg.norm(p1 - axial * axis))
     return math.hypot(axial - along, perp - radius)
-
-
-class TestReachingSteps:
-    def test_backward_collinear_shrink(self):
-        out = backward_step((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), 1.0)
-        np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_backward_normalizes_direction(self):
-        out = backward_step((0.0, 0.0, 0.0), (0.0, 3.0, 4.0), 1.0)
-        np.testing.assert_allclose(out, [0.0, 0.6, 0.8], atol=1e-15)
-
-    def test_forward_collinear_shrink(self):
-        out = forward_step((0.0, 0.0, 0.0), (0.0, 0.0, 5.0), 2.0)
-        np.testing.assert_allclose(out, [0.0, 0.0, 2.0], atol=1e-15)
-
-    def test_coincident_points_raise(self):
-        with pytest.raises(DegenerateDirection):
-            backward_step((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.5)
-
-    @given(
-        st.tuples(*[st.floats(-5, 5) for _ in range(3)]),
-        st.tuples(*[st.floats(-5, 5) for _ in range(3)]),
-        st.floats(min_value=0.01, max_value=3.0),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_result_at_exact_link_length(self, anchor, toward, length):
-        a = np.array(anchor)
-        t = np.array(toward)
-        if np.linalg.norm(t - a) < 1e-6:
-            return
-        out = backward_step(a, t, length)
-        assert np.linalg.norm(out - a) == pytest.approx(length, abs=1e-12)
-        # forward_step is the same reach, mirrored naming
-        assert np.array_equal(forward_step(a, t, length), out)
 
 
 class TestSolve:

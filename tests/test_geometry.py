@@ -21,7 +21,6 @@ from vofabrik.geometry import (
     capsule_capsule_distance,
     capsule_sphere_distance,
     closest_point_on_segment,
-    normalize,
     segment_segment_distance,
 )
 
@@ -178,18 +177,3 @@ class TestCapsuleDistances:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             Capsule3(Segment3((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), -0.1)
-
-
-class TestNormalize:
-    def test_unit_result(self):
-        v = normalize(np.array([3.0, 4.0, 0.0]))
-        np.testing.assert_allclose(v, [0.6, 0.8, 0.0], atol=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateSegment):
-            normalize(np.zeros(3))
-
-    @given(point.filter(lambda v: np.linalg.norm(v) > 1e-6))
-    @settings(max_examples=200, deadline=None)
-    def test_norm_is_one(self, v):
-        assert abs(np.linalg.norm(normalize(v)) - 1.0) < 1e-12

@@ -1,33 +1,33 @@
-"""Planner tests: safe-region math, virtual obstacles, constraint
-rasterization, and the outer goal-stepping loop."""
+"""Planner tests: the angle chooser's safe region, virtual self-spheres
+and rasterization, checked on the chooser plan() runs, and the outer
+goal-stepping loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from chooser_oracle import ChooserCase
 from vofabrik.chain import (
     ChainModel,
-    JointAngles,
     JointLimits,
     LinkSpec,
+    angles_from_direction,
+    joint_frames,
     state_from_angles,
 )
 from vofabrik.fabrik import FabrikConfig, Phase, solve
 from vofabrik.planner import (
-    AngularRegion,
     InitialStateInCollision,
     PlannerConfig,
     PlanStatus,
     SafeSetEmpty,
-    compute_safe,
-    cone_to_angular_constraints,
     ik_phase,
     min_clearance,
     plan,
-    virtual_obstacles,
 )
-from vofabrik.velocity_obstacles import SphereObstacle, collision_cone
+from vofabrik.velocity_obstacles import SphereObstacle
 
 
 def make_chain(n, length=0.1, thickness=0.01, limit=None):
@@ -56,180 +56,285 @@ def snake_chain(n=19, length=0.08, thickness=0.012, swing=1.2):
     )
 
 
+# every direction once: the chooser's windows assume |pitch| <= pi/2
+FREE = JointLimits(-math.pi / 2, math.pi / 2, -math.pi, math.pi)
+
+
+def sphere_toward(distance, pitch, yaw, radius):
+    """Obstacle at `distance` from the origin along (pitch, yaw) of the
+    base frame (forward +x, up +z)."""
+    direction = [
+        math.cos(pitch) * math.cos(yaw),
+        math.cos(pitch) * math.sin(yaw),
+        math.sin(pitch),
+    ]
+    return SphereObstacle(distance * np.array(direction), radius)
+
+
+def two_link(limit=FREE):
+    """Two straight 0.1 m links along +x, pivoting at the origin."""
+    model = make_chain(2, limit=limit)
+    return model, state_from_angles(model, np.zeros((2, 2)))
+
+
+def folded_chain(thickness=0.01):
+    """Six 0.1 m links folded back on themselves in the xy-plane: links 0-1
+    run along +x to (0.2, 0), link 2 along +y, links 3-5 back along -x at
+    y = 0.1, ending at (-0.1, 0.1)."""
+    model = make_chain(6, thickness=thickness, limit=FREE)
+    angles = np.zeros((6, 2))
+    angles[2, 1] = angles[3, 1] = math.pi / 2
+    return model, state_from_angles(model, angles)
+
+
+def choose(model, obstacles, phase, joint, desired, state=None):
+    """One chooser visit at `joint`, the sweep started as fabrik.solve does."""
+    if state is None:
+        state = state_from_angles(model, np.zeros((model.n_links, 2)))
+    case = ChooserCase(model, state, obstacles, phase, joint, PlannerConfig())
+    return tuple(float(v) for v in case.choose([desired[0]], [desired[1]])[0])
+
+
+def aim(model, state, phase, joint, link_direction):
+    """Desired angles that point the link at `joint` along link_direction,
+    away from its pivot (the backward phase reverses the chosen direction)."""
+    d = np.asarray(link_direction, dtype=float)
+    d = d / np.linalg.norm(d)
+    if phase is Phase.BACKWARD:
+        d = -d
+    return tuple(angles_from_direction(joint_frames(model, state.angles)[joint], d))
+
+
 class TestAngularRegion:
+    """The safe (pitch, yaw) region the planner's chooser picks from."""
+
     def test_desired_inside_returned_unchanged(self):
-        region = AngularRegion(((-1.0, 1.0, -1.0, 1.0),))
-        got = compute_safe(region, JointAngles(0.3, -0.7))
-        assert got == JointAngles(0.3, -0.7)
+        model = make_chain(2)
+        obstacle = SphereObstacle(np.array([0.08, 0.02, 0.0]), 0.02)
+        got = choose(model, [obstacle], Phase.FORWARD, 0, (0.3, -0.7))
+        assert got == (0.3, -0.7)
 
     def test_nearest_point_on_cut_rectangle(self):
-        # [-1,1]^2 with pitch > 0.5 removed; desired (0.8, 0) projects
-        # straight down in pitch
-        region = AngularRegion(((-1.0, 0.5, -1.0, 1.0),))
-        got = compute_safe(region, JointAngles(0.8, 0.0))
-        assert got == JointAngles(0.5, 0.0)
+        # a sphere dead ahead cuts a pitch band out of [-1, 1] x [0, 0];
+        # desired (0.1, 0) inside the band projects straight up in pitch to
+        # the band's upper edge
+        model = make_chain(2, limit=JointLimits(-1.0, 1.0, 0.0, 0.0))
+        obstacle = SphereObstacle(np.array([0.08, 0.0, 0.0]), 0.02)
+        got = choose(model, [obstacle], Phase.FORWARD, 0, (0.1, 0.0))
+        assert got[1] == 0.0 and got[0] > 0.1
+        assert choose(model, [obstacle], Phase.FORWARD, 0, got) == got
+        inside = (got[0] - 0.25 * PlannerConfig().angular_resolution, 0.0)
+        assert choose(model, [obstacle], Phase.FORWARD, 0, inside) != inside
 
     def test_empty_region_raises(self):
-        with pytest.raises(SafeSetEmpty):
-            compute_safe(AngularRegion(()), JointAngles(0.0, 0.0))
+        # yaw hemmed to +/-0.05 rad with a sphere on the link's tip
+        model = make_chain(2, limit=JointLimits(0.0, 0.0, -0.05, 0.05))
+        obstacle = SphereObstacle(np.array([0.1, 0.0, 0.0]), 0.04)
+        with pytest.raises(SafeSetEmpty) as err:
+            choose(model, [obstacle], Phase.FORWARD, 0, (0.0, 0.0))
+        assert err.value.joint == 0
+        assert err.value.phase is Phase.FORWARD
 
     def test_tie_breaks_prefer_smaller_pitch_then_yaw(self):
-        # two rectangles symmetric about the desired point
-        region = AngularRegion(
-            (
-                (0.2, 0.3, 0.0, 0.0),
-                (-0.3, -0.2, 0.0, 0.0),
-            )
-        )
-        got = compute_safe(region, JointAngles(0.0, 0.0))
-        assert got == JointAngles(-0.2, 0.0)
-
-        region = AngularRegion(
-            (
-                (0.0, 0.0, 0.2, 0.3),
-                (0.0, 0.0, -0.3, -0.2),
-            )
-        )
-        got = compute_safe(region, JointAngles(0.0, 0.0))
-        assert got == JointAngles(0.0, -0.2)
+        # a sphere dead ahead forbids a band symmetric about the desired
+        # angle, so both band edges are equally near
+        obstacle = SphereObstacle(np.array([0.08, 0.0, 0.0]), 0.02)
+        for limit, axis in (
+            (JointLimits(-1.0, 1.0, 0.0, 0.0), 0),
+            (JointLimits(0.0, 0.0, -1.0, 1.0), 1),
+        ):
+            model = make_chain(2, limit=limit)
+            got = choose(model, [obstacle], Phase.FORWARD, 0, (0.0, 0.0))
+            assert got[axis] < 0.0 and got[1 - axis] == 0.0
+            mirrored = (-got[0] + 0.0, -got[1] + 0.0)
+            assert choose(model, [obstacle], Phase.FORWARD, 0, mirrored) == mirrored
 
     def test_zero_width_rectangle_is_usable(self):
-        region = AngularRegion(((0.0, 0.0, -1.0, 1.0),))
-        assert region.contains(0.0, 0.5)
-        assert not region.contains(1e-9, 0.5)
-        got = compute_safe(region, JointAngles(0.4, 0.2))
-        assert got == JointAngles(0.0, 0.2)
+        model = make_chain(2, limit=JointLimits(0.0, 0.0, -1.0, 1.0))
+        far = SphereObstacle(np.array([5.0, 0.0, 0.0]), 0.02)
+        assert choose(model, [far], Phase.FORWARD, 0, (0.4, 0.2)) == (0.0, 0.2)
+        ahead = SphereObstacle(np.array([0.08, 0.0, 0.0]), 0.02)
+        got = choose(model, [ahead], Phase.FORWARD, 0, (0.4, 0.2))
+        assert got[0] == 0.0 and got[1] > 0.2
 
 
 class TestVirtualObstacles:
+    """The chooser's virtual self-spheres: the closest point to the pivot of
+    each link the sweep has not visited yet, other than the neighbour."""
+
     def test_backward_uses_links_toward_base_only(self):
-        model = make_chain(6)
-        state = state_from_angles(model, np.zeros((6, 2)))
-        spheres = virtual_obstacles(model, state, 4, Phase.BACKWARD)
-        # links 0..2 qualify (skip adjacent link 3 and all tipward links)
-        assert len(spheres) == 3
+        model, state = folded_chain()
+        # joint 4 pivots at (0, 0.1): pointing -y it would reach link 0
+        down = aim(model, state, Phase.BACKWARD, 4, (0.0, -1.0, 0.0))
+        assert choose(model, [], Phase.BACKWARD, 4, down, state) != down
+        # joint 2 pivots at (0.2, 0.1): pointing -x it would reach link 4,
+        # which the backward sweep has already placed
+        back = aim(model, state, Phase.BACKWARD, 2, (-1.0, 0.0, 0.0))
+        assert choose(model, [], Phase.BACKWARD, 2, back, state) == back
 
     def test_forward_uses_links_toward_tip_only(self):
-        model = make_chain(6)
-        state = state_from_angles(model, np.zeros((6, 2)))
-        spheres = virtual_obstacles(model, state, 1, Phase.FORWARD)
-        # links 3..5 qualify
-        assert len(spheres) == 3
+        model, state = folded_chain()
+        # joint 1 pivots at (0.1, 0): pointing +y it would reach link 3
+        up = aim(model, state, Phase.FORWARD, 1, (0.0, 1.0, 0.0))
+        assert choose(model, [], Phase.FORWARD, 1, up, state) != up
+        # joint 3 pivots at (0.2, 0.1): pointing -y it would reach link 1,
+        # which the forward sweep has already placed
+        down = aim(model, state, Phase.FORWARD, 3, (0.0, -1.0, 0.0))
+        assert choose(model, [], Phase.FORWARD, 3, down, state) == down
 
     def test_adjacent_links_never_appear(self):
+        # on a straight chain only the neighbours come within reach; as
+        # spheres they would forbid the straight pose
         model = make_chain(5)
-        state = state_from_angles(model, np.zeros((5, 2)))
         for phase in (Phase.BACKWARD, Phase.FORWARD):
             for k in range(5):
-                spheres = virtual_obstacles(model, state, k, phase)
-                if phase is Phase.BACKWARD:
-                    assert len(spheres) == max(k - 1, 0)
-                else:
-                    assert len(spheres) == max(5 - k - 2, 0)
+                assert choose(model, [], phase, k, (0.0, 0.0)) == (0.0, 0.0)
 
     def test_sphere_sits_at_closest_point_with_link_thickness(self):
-        # bend the chain so link 0 is perpendicular to link 3's pivot
-        model = make_chain(4, length=1.0, thickness=0.05)
-        angles = np.zeros((4, 2))
-        angles[1, 1] = math.pi / 2
-        state = state_from_angles(model, angles)
-        spheres = virtual_obstacles(model, state, 3, Phase.BACKWARD)
-        assert len(spheres) == 2
-        pivot = state.positions[4]
-        seg_a, seg_b = state.positions[0], state.positions[1]
-        expect = seg_a + np.clip(
-            np.dot(pivot - seg_a, seg_b - seg_a), 0.0, 1.0
-        ) * (seg_b - seg_a)
-        np.testing.assert_allclose(spheres[0].center, expect, atol=1e-12)
-        assert spheres[0].radius == 0.05
+        model, state = folded_chain()
+        res = PlannerConfig().angular_resolution
+        for phase, joint in ((Phase.BACKWARD, 4), (Phase.FORWARD, 1)):
+            case = ChooserCase(model, state, [], phase, joint, PlannerConfig())
+            yaw = np.linspace(-math.pi, math.pi, 1201)
+            pitch = np.zeros_like(yaw)
+            picks = case.choose(pitch, yaw)
+            moved = (picks[:, 0] != pitch) | (picks[:, 1] != yaw)
+            gap = case.clearance(pitch, yaw)
+            assert (gap <= 0.0).sum() >= 50, (phase, joint)
+            assert np.all(moved[gap <= 0.0]), (phase, joint)
+            assert np.all(gap[moved] <= 1.5 * res * case.length), (phase, joint)
 
     def test_zero_thickness_links_make_no_spheres(self):
-        model = make_chain(6, thickness=0.0)
-        state = state_from_angles(model, np.zeros((6, 2)))
-        assert virtual_obstacles(model, state, 4, Phase.BACKWARD) == []
+        model, state = folded_chain(thickness=0.0)
+        down = aim(model, state, Phase.BACKWARD, 4, (0.0, -1.0, 0.0))
+        assert choose(model, [], Phase.BACKWARD, 4, down, state) == down
 
-    def test_out_of_range_link_rejected(self):
-        model = make_chain(3)
-        state = state_from_angles(model, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            virtual_obstacles(model, state, 3, Phase.BACKWARD)
+
+# Chooser visits with no dense oracle before: name -> (chain and pose,
+# obstacles, phase, joint, pitch and yaw range sampled most densely). Yaw
+# ranges past +/-pi wrap around.
+CHOOSER_CASES = {
+    "beside": (
+        lambda: two_link(JointLimits.symmetric(math.pi / 2, math.pi / 2)),
+        [SphereObstacle(np.array([0.08, 0.02, 0.0]), 0.02)],
+        Phase.FORWARD, 0, (-0.8, 0.8), (-0.6, 1.0),
+    ),
+    "yaw_wrap": (
+        two_link,
+        [sphere_toward(0.08, 0.1, math.pi - 0.1, 0.02)],
+        Phase.FORWARD, 0, (-0.8, 1.0), (math.pi - 1.0, math.pi + 0.8),
+    ),
+    # pitch reaches past pi/2, where the window's cosine turns negative and
+    # only the pole branch (every yaw) marks cells; a sphere on the pole
+    # looks the same from both sides, so truth needs no mirrored window
+    "pole": (
+        lambda: two_link(JointLimits(-math.pi / 2, 2.0, -math.pi, math.pi)),
+        [sphere_toward(0.08, math.pi / 2, 0.0, 0.02)],
+        Phase.FORWARD, 0, (0.6, 2.0), (-math.pi, math.pi),
+    ),
+    "widened_yaw": (
+        two_link,
+        [sphere_toward(0.08, 1.0, 0.3, 0.02)],
+        Phase.FORWARD, 0, (0.4, 1.57), (-1.0, 1.6),
+    ),
+    "backward": (
+        two_link,
+        [SphereObstacle(np.array([0.12, 0.03, 0.01]), 0.02)],
+        Phase.BACKWARD, 1, (-0.9, 0.7), (-1.2, 0.5),
+    ),
+    "two_spheres": (
+        two_link,
+        [sphere_toward(0.08, 0.2, 0.5, 0.02), sphere_toward(0.07, -0.3, -0.4, 0.015)],
+        Phase.FORWARD, 0, (-0.9, 0.9), (-1.2, 1.3),
+    ),
+    "self_backward": (folded_chain, [], Phase.BACKWARD, 4, (-0.4, 0.4), (-2.2, -0.2)),
+    "self_forward": (folded_chain, [], Phase.FORWARD, 1, (-0.4, 0.4), (0.6, 3.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def chooser_samples():
+    """Per case: the oracle, desired samples, the chooser's picks, which
+    samples it moved, and each sample's true clearance."""
+    cfg = PlannerConfig()
+    rng = np.random.default_rng(2024)
+    out = {}
+    for name, (build, obstacles, phase, joint, pitch_range, yaw_range) in CHOOSER_CASES.items():
+        model, state = build()
+        lim = model.limits[joint]
+        pitch = np.concatenate(
+            [rng.uniform(*pitch_range, 600), rng.uniform(lim.pitch_min, lim.pitch_max, 200)]
+        )
+        yaw = np.concatenate(
+            [rng.uniform(*yaw_range, 600), rng.uniform(lim.yaw_min, lim.yaw_max, 200)]
+        )
+        yaw = (yaw + math.pi) % (2.0 * math.pi) - math.pi
+        case = ChooserCase(model, state, obstacles, phase, joint, cfg)
+        picks = case.choose(pitch, yaw)
+        out[name] = SimpleNamespace(
+            case=case,
+            pitch=pitch,
+            yaw=yaw,
+            picks=picks,
+            moved=(picks[:, 0] != pitch) | (picks[:, 1] != yaw),
+            gap=case.clearance(pitch, yaw),
+        )
+    return out
 
 
 class TestConeConstraints:
-    def setup_method(self):
-        self.model = make_chain(2, length=0.1, thickness=0.01)
-        self.frame = self.model.base_frame()
-        self.limits = JointLimits.symmetric(math.pi / 2, math.pi / 2)
-        self.res = math.radians(0.5)
+    """Dense oracle for ConeConstraints, the chooser plan() runs: samples
+    of desired angles against margin-inclusive truth (see chooser_oracle)."""
 
-    def region_for(self, center, radius, pivot=None):
-        pivot = np.zeros(3) if pivot is None else pivot
-        cone = collision_cone(pivot, 0.01, SphereObstacle(np.asarray(center, float), radius))
-        return cone_to_angular_constraints(
-            cone, pivot, self.frame, self.limits, 0.1, 0.01, self.res
-        )
+    res = PlannerConfig().angular_resolution
 
-    def test_forbidden_region_covers_exact_collisions(self):
-        region = self.region_for([0.08, 0.02, 0.0], 0.02)
-        rng = np.random.default_rng(7)
-        pivot = np.zeros(3)
-        center = np.array([0.08, 0.02, 0.0])
-        hits = misses = 0
-        for _ in range(4000):
-            pitch = rng.uniform(-math.pi / 2, math.pi / 2)
-            yaw = rng.uniform(-math.pi / 2, math.pi / 2)
-            d = np.array(
-                [
-                    math.cos(pitch) * math.cos(yaw),
-                    math.cos(pitch) * math.sin(yaw),
-                    math.sin(pitch),
-                ]
-            )
-            t = np.clip(np.dot(center - pivot, d), 0.0, 0.1)
-            dist = np.linalg.norm(center - pivot - t * d)
-            # capsule thickness + obstacle-with-agent combined radius
-            colliding = dist <= 0.01 + (0.01 + 0.02)
-            if colliding:
-                hits += 1
-                assert region.contains(pitch, yaw)
-            else:
-                misses += 1
-        assert hits > 50 and misses > 50
+    def test_forbidden_region_covers_exact_collisions(self, chooser_samples):
+        for name, s in chooser_samples.items():
+            colliding = s.gap <= 0.0
+            assert colliding.sum() >= 50 and (~colliding).sum() >= 50, name
+            assert np.all(s.moved[colliding]), name
 
     def test_forbidden_region_grows_with_radius(self):
-        small = self.region_for([0.08, 0.02, 0.0], 0.015)
-        large = self.region_for([0.08, 0.02, 0.0], 0.03)
+        model, state = two_link(JointLimits.symmetric(math.pi / 2, math.pi / 2))
         rng = np.random.default_rng(3)
-        for _ in range(2000):
-            pitch = rng.uniform(-math.pi / 2, math.pi / 2)
-            yaw = rng.uniform(-math.pi / 2, math.pi / 2)
-            if small.contains(pitch, yaw):
-                assert large.contains(pitch, yaw)
+        pitch, yaw = rng.uniform(-0.8, 0.8, 600), rng.uniform(-0.6, 1.0, 600)
+        moved = []
+        for radius in (0.015, 0.03):
+            obstacle = SphereObstacle(np.array([0.08, 0.02, 0.0]), radius)
+            case = ChooserCase(model, state, [obstacle], Phase.FORWARD, 0, PlannerConfig())
+            picks = case.choose(pitch, yaw)
+            moved.append((picks[:, 0] != pitch) | (picks[:, 1] != yaw))
+        small, large = moved
+        assert small.any() and np.all(large[small])
 
     def test_far_obstacle_forbids_nothing(self):
-        region = self.region_for([5.0, 0.0, 0.0], 0.02)
-        assert region.is_empty
+        model, state = two_link(JointLimits.symmetric(math.pi / 2, math.pi / 2))
+        far = SphereObstacle(np.array([5.0, 0.0, 0.0]), 0.02)
+        case = ChooserCase(model, state, [far], Phase.FORWARD, 0, PlannerConfig())
+        rng = np.random.default_rng(5)
+        pitch, yaw = rng.uniform(-1.5, 1.5, 200), rng.uniform(-1.5, 1.5, 200)
+        assert np.array_equal(case.choose(pitch, yaw), np.column_stack([pitch, yaw]))
 
-    def test_overshoot_stays_near_true_boundary(self):
-        # every forbidden cell center must sit within a touch distance
-        # inflated by about one cell of angular travel
-        region = self.region_for([0.08, 0.02, 0.0], 0.02)
-        assert not region.is_empty
-        pivot = np.zeros(3)
-        center = np.array([0.08, 0.02, 0.0])
-        slack = 0.01 + 0.03 + 0.1 * self.res * 1.5
-        for plo, phi, ylo, yhi in region.allowed:
-            pitch, yaw = 0.5 * (plo + phi), 0.5 * (ylo + yhi)
-            d = np.array(
-                [
-                    math.cos(pitch) * math.cos(yaw),
-                    math.cos(pitch) * math.sin(yaw),
-                    math.sin(pitch),
-                ]
-            )
-            t = np.clip(np.dot(center - pivot, d), 0.0, 0.1)
-            dist = np.linalg.norm(center - pivot - t * d)
-            assert dist <= slack
+    def test_overshoot_stays_near_true_boundary(self, chooser_samples):
+        # a moved sample sits in a forbidden cell, whose center is within
+        # touch + lip of a sphere; the sample is within half a cell
+        # diagonal of that center, so within 1.5 cells of tip travel
+        for name, s in chooser_samples.items():
+            slack = 1.5 * self.res * s.case.length
+            assert np.all(s.gap[s.moved] <= slack), (name, s.gap[s.moved].max() / slack)
+
+    def test_nearest_safe_pick_is_clear_and_near(self, chooser_samples):
+        # every pick is truly clear, and no farther from the desired angles
+        # than the nearest sample the chooser left alone, plus one cell
+        for name, s in chooser_samples.items():
+            picks = s.picks[s.moved]
+            assert np.all(s.case.clearance(picks[:, 0], picks[:, 1]) > 0.0), name
+            kept_p, kept_y = s.pitch[~s.moved], s.yaw[~s.moved]
+            for (p, y), (cp, cy) in zip(
+                zip(s.pitch[s.moved], s.yaw[s.moved]), picks
+            ):
+                nearest = float(np.min(np.hypot(kept_p - p, kept_y - y)))
+                assert math.hypot(cp - p, cy - y) <= nearest + self.res, (name, p, y)
 
 
 class TestIkPhase:
