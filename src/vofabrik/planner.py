@@ -21,10 +21,23 @@ away from the pivot) would approach the real center.
 When no cell is forbidden, the chooser falls through to the identical
 limit clamp the plain solver uses, so with no obstacles in range the
 planner reproduces plain FABRIK bit for bit.
+
+Most link visits have no sphere within reach. A broad phase in plain
+Python floats settles those before any array is built: it tests the
+pivot against each obstacle and against a bounding ball (midpoint,
+half-length) of each link the sweep has yet to place, with every bound
+loosened past rounding, so it rejects only visits that the numpy broad
+phase would also find empty.
+
+min_clearance evaluates all non-adjacent link pairs in one batched
+segment-segment kernel that repeats the scalar geometry path operation
+for operation, so its result is bit-equal to it. The validator in
+harness alone keeps the scalar geometry path, as an independent audit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -41,7 +54,7 @@ from .fabrik import (
     clamp_to_limits,
     solve as fabrik_solve,
 )
-from .geometry import Segment3, as_vec3, segment_segment_distance
+from .geometry import DEGENERACY_THRESHOLD, DegenerateSegment, as_vec3
 from .velocity_obstacles import (
     NoAdmissibleVelocity,
     SphereObstacle,
@@ -63,6 +76,20 @@ class SafeSetEmpty(RuntimeError):
 
 class InitialStateInCollision(ValueError):
     """The starting configuration already violates clearance."""
+
+
+class SweepOrderError(RuntimeError):
+    """ConeConstraints was called at a later joint of a sweep that never
+    started at its first joint."""
+
+    def __init__(self, phase: Phase, joint: int, first: int):
+        self.joint = joint
+        self.phase = phase
+        super().__init__(
+            f"chooser called at joint {joint} of a {phase.value} sweep that was "
+            f"never started: each sweep must begin at joint {first}, where the "
+            "chooser caches the sweep's segment geometry"
+        )
 
 
 class PlanStatus(Enum):
@@ -184,6 +211,11 @@ def _cell_of(edges: np.ndarray, x: float) -> int:
     return min(max(int(np.searchsorted(edges, x, side="right")) - 1, 0), n - 1)
 
 
+def _loosen(bound: float) -> float:
+    """A distance bound widened past the rounding of numpy and float sums."""
+    return bound * (1.0 + 1e-9) + 1e-12
+
+
 def _hit_cells(pitch, yaw, proj, length, reach):
     """Cells whose link segment passes within `reach` of a sphere center.
 
@@ -217,7 +249,7 @@ class ConeConstraints:
     Call order: each sweep must start at its first joint (backward: n - 1,
     forward: 0), as fabrik.solve does, because that call caches the
     sweep's segment geometry for the virtual self-spheres; a call at a
-    later joint of a sweep never started fails on a chain with thick links.
+    later joint of a sweep never started raises SweepOrderError.
     """
 
     def __init__(self, model: ChainModel, obstacles: Sequence[SphereObstacle], cfg: PlannerConfig):
@@ -247,22 +279,28 @@ class ConeConstraints:
             * math.sqrt(2.0)
             * 1.0001
         )
-        self._has_virtual = bool((self._thick > 0.0).any())
+        # a chain of two links has no non-adjacent pair, so no self-spheres
+        self._has_virtual = model.n_links > 2 and bool((self._thick > 0.0).any())
+        # the plain-float broad phase: per joint, the part of the touch
+        # reach every sphere shares, and the real spheres as (x, y, z,
+        # squared reach); each term is loosened, so every sum of them is
+        self._reach = _loosen(
+            np.asarray(model.lengths, dtype=float) + cfg.clearance_margin + self._thick + self._lips
+        ).tolist()
+        real = list(zip(self.real_centers.tolist(), self.real_radii.tolist()))
+        self._real_reach = [
+            [(x, y, z, (reach + _loosen(r)) ** 2) for (x, y, z), r in real]
+            for reach in self._reach
+        ]
+        self._sweep = None
         self._sweep_diffs = None
         self._sweep_len2 = None
+        self._sweep_balls = None
 
     def __call__(self, phase, joint, desired, limits, frame, pivot, positions):
-        n = self.model.n_links
-        # a sweep's virtual-sphere sources are that sweep's entry
-        # positions (the visited side is never read), so the segment
-        # geometry can be cached when the sweep begins
-        if (phase is Phase.BACKWARD and joint == n - 1) or (
-            phase is Phase.FORWARD and joint == 0
-        ):
-            self._sweep_diffs = np.diff(positions, axis=0)
-            self._sweep_len2 = np.einsum(
-                "ij,ij->i", self._sweep_diffs, self._sweep_diffs
-            )
+        self._enter_sweep(phase, joint, positions)
+        if self._out_of_reach(phase, joint, pivot):
+            return clamp_to_limits(desired.pitch, desired.yaw, limits)
         centers, touch = self._touch_spheres(phase, joint, positions, pivot)
         if centers is None:
             return clamp_to_limits(desired.pitch, desired.yaw, limits)
@@ -275,6 +313,58 @@ class ConeConstraints:
             return self._nearest_safe(joint, limits, desired, hits)
         except SafeSetEmpty:
             raise SafeSetEmpty(joint=joint, phase=phase) from None
+
+    def _enter_sweep(self, phase, joint, positions):
+        """At a sweep's first joint, cache its segment geometry; at a later
+        joint, require that this sweep was started.
+
+        A sweep's virtual-sphere sources are its entry positions (the
+        visited side is never read), so each link's direction, squared
+        length and bounding ball (midpoint, half-length + thickness) hold
+        for the whole sweep.
+        """
+        first = self.model.n_links - 1 if phase is Phase.BACKWARD else 0
+        if joint != first:
+            if self._sweep is not phase:
+                raise SweepOrderError(phase, joint, first)
+            return
+        self._sweep = phase
+        if self._has_virtual:
+            diffs = np.diff(positions, axis=0)
+            self._sweep_diffs = diffs
+            self._sweep_len2 = np.einsum("ij,ij->i", diffs, diffs)
+            mids = positions[:-1] + 0.5 * diffs
+            halves = _loosen(0.5 * np.sqrt(self._sweep_len2) + self._thick)
+            self._sweep_balls = [
+                (x, y, z, h) for (x, y, z), h in zip(mids.tolist(), halves.tolist())
+            ]
+
+    def _out_of_reach(self, phase, joint, pivot):
+        """True when no sphere can come within reach of the link, decided
+        in plain floats before any array is built.
+
+        Each bound over-estimates _touch_spheres' (a virtual sphere lies
+        within its link's bounding ball) and is loosened past rounding, so
+        this holds only when _touch_spheres would keep no sphere. Spheres of
+        radius 0 count here although _touch_spheres drops them.
+        """
+        px, py, pz = pivot.tolist()
+        for x, y, z, reach2 in self._real_reach[joint]:
+            dx, dy, dz = x - px, y - py, z - pz
+            if dx * dx + dy * dy + dz * dz <= reach2:
+                return False
+        if self._has_virtual:
+            if phase is Phase.BACKWARD:
+                balls = self._sweep_balls[: max(joint - 1, 0)]
+            else:
+                balls = self._sweep_balls[joint + 2 :]
+            reach = self._reach[joint]
+            for x, y, z, h in balls:
+                dx, dy, dz = x - px, y - py, z - pz
+                bound = reach + h
+                if dx * dx + dy * dy + dz * dz <= bound * bound:
+                    return False
+        return True
 
     def _touch_spheres(self, phase, joint, positions, pivot):
         """Candidate spheres as (centers, touch distances): the link's
@@ -452,11 +542,81 @@ def ik_phase(
     return fabrik_solve(model, state, target_pn, cfg.ik, choose_angles=chooser)
 
 
+def _norms(v):
+    # sqrt(vecdot) is bit-equal to np.linalg.norm of each row; einsum and
+    # norm(axis=1) are not
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _unit(x):
+    # min(max(x, 0), 1), the scalar path's clamp
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _segment_distances(a1, b1, a2, b2):
+    """Distance between segments a1b1 and a2b2, row by row.
+
+    Ericson's clamped closest points ("Real-Time Collision Detection",
+    5.1.9) and the four endpoint projections, evaluated operation for
+    operation as geometry._segment_pair_closest does for one pair, so each
+    row is bit-equal to the scalar path called in the same argument order.
+    """
+    d1, d2, r = b1 - a1, b2 - a2, a1 - a2
+    a = np.vecdot(d1, d1)
+    e = np.vecdot(d2, d2)
+    f = np.vecdot(d2, r)
+    c = np.vecdot(d1, r)
+    b = np.vecdot(d1, d2)
+    denom = a * e - b * b
+    s = np.zeros_like(denom)
+    np.divide(b * f - c * e, denom, out=s, where=denom > 0.0)
+    s = _unit(s)
+    t = (b * s + f) / e
+    below, above = t < 0.0, t > 1.0
+    np.copyto(s, _unit(-c / a), where=below)
+    np.copyto(s, _unit((b - c) / a), where=above)
+    np.copyto(t, 0.0, where=below)
+    np.copyto(t, 1.0, where=above)
+    # one block of rows per candidate point pair: the clamped closest
+    # points, then each endpoint and its projection onto the other segment
+    # (base + u * dirs); the norm of a difference does not depend on its sign
+    m = len(s)
+    q = np.concatenate([a1 + s[:, None] * d1, a1, b1, a2, b2])
+    base = np.concatenate([a2, a2, a2, a1, a1])
+    dirs = np.concatenate([d2, d2, d2, d1, d1])
+    u = np.concatenate([t, _unit(np.vecdot(q[m:] - base[m:], dirs[m:]) / np.concatenate([e, e, a, a]))])
+    return _norms(q - (base + u[:, None] * dirs)).reshape(5, m).min(axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _link_pairs(n):
+    """Read-only index arrays (i, j) of the link pairs j >= i + 2, in the
+    scalar loop's order."""
+    pairs = np.triu_indices(n, 2)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def min_clearance(model: ChainModel, positions, obstacles) -> float:
-    """Smallest clearance over link-obstacle and non-adjacent link pairs."""
+    """Smallest clearance over link-obstacle and non-adjacent link pairs.
+
+    The link pairs run through one batched kernel, bit-equal to
+    geometry.segment_segment_distance on each pair; the validator keeps
+    the scalar path as the independent audit. Non-finite positions raise
+    ValueError and a zero-length link DegenerateSegment, as the scalar
+    segments do.
+    """
+    n = model.n_links
     p = np.asarray(positions, dtype=float)
+    if p.shape != (n + 1, 3):
+        raise ValueError(f"expected {n + 1} joint positions of 3 coordinates, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("joint positions must be finite")
     a, b = p[:-1], p[1:]
     d = b - a
+    if (_norms(d) < DEGENERACY_THRESHOLD).any():
+        raise DegenerateSegment(f"segment endpoints coincide within {DEGENERACY_THRESHOLD} m")
     len2 = np.einsum("ij,ij->i", d, d)
     th = model.thicknesses
     best = math.inf
@@ -464,12 +624,19 @@ def min_clearance(model: ChainModel, positions, obstacles) -> float:
         t = np.clip(np.einsum("ij,ij->i", o.center[None, :] - a, d) / len2, 0.0, 1.0)
         gaps = np.linalg.norm(o.center[None, :] - (a + t[:, None] * d), axis=1) - th - o.radius
         best = min(best, float(np.min(gaps)))
-    n = model.n_links
-    for i in range(n):
-        seg_i = Segment3(p[i], p[i + 1])
-        for j in range(i + 2, n):
-            dist, _, _ = segment_segment_distance(seg_i, Segment3(p[j], p[j + 1]))
-            best = min(best, dist - th[i] - th[j])
+    i, j = _link_pairs(n)
+    if i.size:
+        # segment_segment_distance evaluates each pair with the
+        # lexicographically smaller (a, b) first; the first differing
+        # coordinate decides, and identical keys keep the order
+        ends = np.concatenate([a, b], axis=1)
+        ei, ej = ends[i], ends[j]
+        differ = ei != ej
+        k = differ.argmax(axis=1)
+        swap = (differ.any(axis=1) & (ends[j, k] < ends[i, k]))[:, None]
+        e1, e2 = np.where(swap, ej, ei), np.where(swap, ei, ej)
+        dist = _segment_distances(e1[:, :3], e1[:, 3:], e2[:, :3], e2[:, 3:])
+        best = min(best, float(np.min(dist - th[i] - th[j])))
     return best
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from chooser_oracle import ChooserCase
+from clearance_oracle import scalar_min_clearance
 from vofabrik import (
     ChainModel,
     JointLimits,
@@ -31,6 +32,7 @@ from vofabrik import (
     in_cone,
     load_scenario,
     make_report,
+    min_clearance,
     plan,
     record_from_outcome,
     run_and_report,
@@ -178,6 +180,23 @@ class TestAcceptance:
             digest = hashlib.sha256(stripped.encode("utf-8")).hexdigest()
             assert digest == GOLDEN_DIGESTS[name], (name, digest)
         print("golden digests PASS - all four shipped trajectories unchanged")
+
+    def test_batched_clearance_matches_scalar_on_shipped_plans(self, cavity_runs):
+        """min_clearance equals the scalar segment path exactly on every shipped state."""
+        runs = {name: (run.scenario, run.outcome) for name, run in cavity_runs.items()}
+        for name in ("planar_2link", "planar_3link"):
+            scenario = load_scenario(scenario_path(name))
+            runs[name] = (
+                scenario,
+                plan(scenario.chain, scenario.initial_state(), scenario.goal, scenario.obstacles, scenario.planner),
+            )
+        for name, (scenario, outcome) in runs.items():
+            for k, state in enumerate(outcome.trajectory):
+                # without obstacles the link pairs alone set the minimum
+                for obstacles in ((), scenario.obstacles):
+                    got = min_clearance(scenario.chain, state.positions, obstacles)
+                    assert got == scalar_min_clearance(scenario.chain, state.positions, obstacles), (name, k)
+        print("clearance kernel PASS - bit-equal to the scalar path on all shipped states")
 
     def test_criterion_5_reduces_to_plain_fabrik_without_obstacles(self):
         """No obstacles + unlimited joints: both solvers emit bit-identical states."""

@@ -8,9 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import vofabrik.planner
 from chooser_oracle import ChooserCase
+from clearance_oracle import scalar_min_clearance
 from vofabrik.chain import (
     ChainModel,
+    JointAngles,
     JointLimits,
     LinkSpec,
     angles_from_direction,
@@ -18,11 +21,15 @@ from vofabrik.chain import (
     state_from_angles,
 )
 from vofabrik.fabrik import FabrikConfig, Phase, solve
+from vofabrik.geometry import DegenerateSegment
+from vofabrik.harness import load_scenario, scenario_path
 from vofabrik.planner import (
+    ConeConstraints,
     InitialStateInCollision,
     PlannerConfig,
     PlanStatus,
     SafeSetEmpty,
+    SweepOrderError,
     ik_phase,
     min_clearance,
     plan,
@@ -31,11 +38,12 @@ from vofabrik.velocity_obstacles import SphereObstacle
 
 
 def make_chain(n, length=0.1, thickness=0.01, limit=None):
+    """thickness is one value or one per link."""
     limits = [limit or JointLimits.unlimited()] * n
     return ChainModel(
         base=np.zeros(3),
         base_direction=np.array([1.0, 0.0, 0.0]),
-        links=[LinkSpec(length, thickness)] * n,
+        links=[LinkSpec(length, float(t)) for t in np.broadcast_to(thickness, n)],
         limits=limits,
     )
 
@@ -527,3 +535,128 @@ class TestMinClearance:
         # link 3 runs antiparallel to link 0 at 0.1 offset
         got = min_clearance(model, state.positions, [])
         assert got == pytest.approx(0.1 - 0.02, abs=1e-9)
+
+    def test_batched_kernel_equals_scalar_on_random_chains(self):
+        # every non-adjacent pair alone as links 0 and 2 of a three-link
+        # polyline, then each whole chain with obstacles, compared with ==;
+        # min_clearance reads only the thicknesses of the model, so random
+        # link lengths need not match it
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(3, 20))
+            steps = rng.normal(size=(n, 3))
+            steps *= rng.uniform(0.02, 0.12, size=(n, 1)) / np.linalg.norm(steps, axis=1)[:, None]
+            p = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+            model = make_chain(n, thickness=rng.uniform(0.0, 0.015, size=n))
+            obstacles = [
+                SphereObstacle(rng.normal(scale=0.2, size=3), float(r))
+                for r in rng.uniform(0.01, 0.05, size=int(rng.integers(0, 4)))
+            ]
+            for positions, obs in ((p, []), (p, obstacles)):
+                got = min_clearance(model, positions, obs)
+                assert got == scalar_min_clearance(model, positions, obs)
+            pair_model = make_chain(3, thickness=0.0)
+            for i in range(n):
+                for j in range(i + 2, n):
+                    q = np.array([p[i], p[i + 1], p[j], p[j + 1]])
+                    assert min_clearance(pair_model, q, []) == scalar_min_clearance(pair_model, q, []), (i, j)
+
+    def test_batched_kernel_equals_scalar_on_constructed_pairs(self):
+        # links 0 and 2 of a three-link polyline [a1, b1, a2, b2]
+        rng = np.random.default_rng(8)
+        model = make_chain(3, thickness=0.0)
+        cases = []
+        for _ in range(150):
+            a, b, c = rng.normal(scale=0.1, size=(3, 3))
+            d = b - a
+            s, t = rng.uniform(-1.5, 1.5, size=2)
+            cases += [
+                (a, b, a + c, a + c + s * d),  # parallel, offset
+                (a, b, a + s * d, a + (s + 0.3 + abs(t)) * d),  # collinear
+                (a, b, b + c, a),  # link 2 ends where link 0 starts
+                (a, b, c, b),  # link 2 ends where link 0 ends
+                (a, b, a, c),  # both start at one point: keys tie on x, y, z
+                (a, b, np.array([a[0], a[1], c[2]]), c),  # keys tie on x and y
+                (a, b, np.array([a[0], c[1], c[2]]), b + c),  # keys tie on x
+            ]
+        for q in cases:
+            q = np.array(q)
+            assert min_clearance(model, q, []) == scalar_min_clearance(model, q, []), q
+
+    def test_bad_positions_raise_typed_errors_like_scalar_path(self):
+        model = make_chain(4)
+        p = state_from_angles(model, np.zeros((4, 2))).positions
+        degenerate = p.copy()
+        degenerate[2] = degenerate[1]
+        nan = p.copy()
+        nan[3, 1] = np.nan
+        for positions, error in ((degenerate, DegenerateSegment), (nan, ValueError)):
+            for clearance in (min_clearance, scalar_min_clearance):
+                with pytest.raises(error):
+                    clearance(model, positions, [])
+
+
+class CheckedChooser(ConeConstraints):
+    """The planner's chooser, checking after every visit that the
+    plain-float reject fired only where the numpy broad phase keeps no
+    sphere."""
+
+    visits = rejected = 0
+
+    def __call__(self, phase, joint, desired, limits, frame, pivot, positions):
+        picked = super().__call__(phase, joint, desired, limits, frame, pivot, positions)
+        type(self).visits += 1
+        if self._out_of_reach(phase, joint, pivot):
+            type(self).rejected += 1
+            centers, touch = self._touch_spheres(phase, joint, positions, pivot)
+            assert centers is None and touch is None, (phase, joint)
+        return picked
+
+
+class TestBroadPhaseReject:
+    def run_checked(self, monkeypatch, model, state, goal, obstacles, cfg):
+        monkeypatch.setattr(vofabrik.planner, "ConeConstraints", CheckedChooser)
+        monkeypatch.setattr(CheckedChooser, "visits", 0)
+        monkeypatch.setattr(CheckedChooser, "rejected", 0)
+        plan(model, state, goal, obstacles, cfg)
+        assert CheckedChooser.visits > 0
+        return CheckedChooser.rejected / CheckedChooser.visits
+
+    @pytest.mark.parametrize("name", ["planar_2link", "planar_3link", "cavity_19dof_extended"])
+    def test_reject_is_conservative_on_shipped_plans(self, monkeypatch, name):
+        sc = load_scenario(scenario_path(name))
+        share = self.run_checked(monkeypatch, sc.chain, sc.initial_state(), sc.goal, sc.obstacles, sc.planner)
+        if name == "cavity_19dof_extended":
+            assert share > 0.5
+
+    @pytest.mark.parametrize("thickness", [0.01, [0.0, 0.01, 0.01, 0.01, 0.01, 0.01]])
+    def test_reject_is_conservative_on_folded_thick_chain(self, monkeypatch, thickness):
+        # the fold keeps links within reach of one another, so some visits
+        # reach the numpy broad phase and some are rejected before it
+        model, state = folded_chain(thickness)
+        obstacles = [SphereObstacle(np.array([0.05, 0.2, 0.0]), 0.03)]
+        cfg = PlannerConfig(max_steps=5)
+        share = self.run_checked(monkeypatch, model, state, np.array([0.0, 0.25, 0.05]), obstacles, cfg)
+        assert 0.0 < share < 1.0
+
+    def test_sweep_entered_midway_raises_typed_error(self):
+        model, state = folded_chain()
+        frames = joint_frames(model, state.angles)
+        chooser = ConeConstraints(model, [], PlannerConfig())
+        p = state.positions
+
+        def visit(phase, joint):
+            pivot = p[joint + 1] if phase is Phase.BACKWARD else p[joint]
+            return chooser(
+                phase, joint, JointAngles(*state.angles[joint]), model.limits[joint], frames[joint], pivot, p
+            )
+
+        with pytest.raises(SweepOrderError, match="must begin at joint 5"):
+            visit(Phase.BACKWARD, 4)
+        visit(Phase.BACKWARD, 5)
+        visit(Phase.BACKWARD, 4)
+        # a forward visit after a backward sweep needs its own start
+        with pytest.raises(SweepOrderError, match="must begin at joint 0"):
+            visit(Phase.FORWARD, 3)
+        visit(Phase.FORWARD, 0)
+        visit(Phase.FORWARD, 3)
