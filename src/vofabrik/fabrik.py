@@ -15,6 +15,8 @@ with no active constraints reproduce this solver bit for bit.
 
 Backward-phase clamping needs a parent frame before parents are updated;
 the frames captured from the entry state are used for the whole phase.
+Those are the frames the previous forward phase built, so only the first
+iteration computes them from the state's angles.
 """
 
 from __future__ import annotations
@@ -118,10 +120,14 @@ def _backward_phase(model, p, dirs_entry, frames, target, choose):
 
 
 def _forward_phase(model, p, dirs_entry, choose):
+    """Returns the chosen angles and every joint's parent frame, which are
+    joint_frames of those angles."""
     angles = np.empty((model.n_links, 2))
+    frames = []
     p[0] = model.base
     frame = model.base_frame()
     for i in range(model.n_links):
+        frames.append(frame)
         d = _direction(p[i], p[i + 1], dirs_entry[i])
         desired = angles_from_direction(frame, d)
         pitch, yaw = choose(
@@ -130,7 +136,7 @@ def _forward_phase(model, p, dirs_entry, choose):
         chosen_dir, frame = advance_frame(frame, pitch, yaw)
         p[i + 1] = p[i] + model.lengths[i] * chosen_dir
         angles[i] = (pitch, yaw)
-    return angles
+    return angles, frames
 
 
 def solve(
@@ -160,14 +166,15 @@ def solve(
     budget = cfg.max_iterations if reachable else 1
 
     current = state
+    # later iterations reuse the frames the previous forward phase built
+    frames = joint_frames(model, current.angles)
     for iteration in range(1, budget + 1):
         p = current.positions.copy()
         dirs = _entry_directions(p)
-        frames = joint_frames(model, current.angles)
         _backward_phase(model, p, dirs, frames, target, choose)
         backward_snapshot = p.copy() if on_iteration is not None else None
         dirs = _entry_directions(p)
-        angles = _forward_phase(model, p, dirs, choose)
+        angles, frames = _forward_phase(model, p, dirs, choose)
         current = ChainState(p, angles)
         residual = float(np.linalg.norm(p[-1] - target))
         if on_iteration is not None:

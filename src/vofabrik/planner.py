@@ -22,21 +22,25 @@ When no cell is forbidden, the chooser falls through to the identical
 limit clamp the plain solver uses, so with no obstacles in range the
 planner reproduces plain FABRIK bit for bit.
 
-Most link visits have no sphere within reach. A broad phase in plain
-Python floats settles those before any array is built: it tests the
-pivot against each obstacle and against a bounding ball (midpoint,
-half-length) of each link the sweep has yet to place, with every bound
-loosened past rounding, so it rejects only visits that the numpy broad
-phase would also find empty.
+Each visit first gathers the spheres within reach in one pass in plain
+Python floats; most visits keep none and end as a limit clamp before any
+array is built. Its dot products are summed in the order numpy's einsum
+sums a row of three, so the spheres are bit-equal to a numpy evaluation.
+The rasterizer slices each joint's cell-center cosine and sine tables,
+built once per (limits, resolution) and shared read-only by every
+chooser, and keeps its 3-vector dot products in numpy (np.vecdot): numpy
+rounds them with fused multiply-adds, which Python floats cannot repeat.
 
-min_clearance evaluates all non-adjacent link pairs in one batched
-segment-segment kernel that repeats the scalar geometry path operation
-for operation, so its result is bit-equal to it. The validator in
-harness alone keeps the scalar geometry path, as an independent audit.
+min_clearance evaluates all link-obstacle pairs in one batch and all
+non-adjacent link pairs in one segment-segment kernel that repeats the
+scalar geometry path operation for operation, so its result is bit-equal
+to it. The validator in harness alone keeps the scalar geometry path, as
+an independent audit.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import time
@@ -46,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainModel, ChainState, cross3
+from .chain import ChainModel, ChainState
 from .fabrik import (
     FabrikConfig,
     Phase,
@@ -148,15 +152,24 @@ class PlanOutcome:
     per_step_metrics: list  # StepMetrics, one per transition
 
 
+@functools.lru_cache(maxsize=256)
 def _axis_grid(lo: float, hi: float, resolution: float):
-    """Cell edges and centers covering [lo, hi] at most `resolution` wide."""
+    """One axis of a joint's cell grid over [lo, hi], cells at most
+    `resolution` wide: the cell edges as an array and as a tuple (for
+    bisect), and the cosine and sine of the cell centers. The arrays are
+    read-only, because every chooser with these limits shares them."""
+    lo, hi = float(lo), float(hi)
     if hi <= lo:
-        return np.array([lo, lo]), np.array([lo])
-    n = max(1, int(math.ceil((hi - lo) / resolution)))
-    edges = lo + np.arange(n + 1) * ((hi - lo) / n)
-    edges[-1] = hi
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return edges, centers
+        edges, centers = np.array([lo, lo]), np.array([lo])
+    else:
+        n = max(1, int(math.ceil((hi - lo) / resolution)))
+        edges = lo + np.arange(n + 1) * ((hi - lo) / n)
+        edges[-1] = hi
+        centers = 0.5 * (edges[:-1] + edges[1:])
+    cos, sin = np.cos(centers), np.sin(centers)
+    for table in (edges, cos, sin):
+        table.flags.writeable = False
+    return edges, tuple(edges.tolist()), cos, sin
 
 
 def _rect_difference(rects, cut):
@@ -193,45 +206,40 @@ def _window_spans(center: float, halfwidth: float, lo: float, hi: float):
     return [(max(s, lo), min(e, hi)) for s, e in spans if max(s, lo) <= min(e, hi)]
 
 
-def _index_range(edges: np.ndarray, lo: float, hi: float):
+def _index_range(edges: tuple, lo: float, hi: float):
     """Half-open cell index range whose cells intersect [lo, hi]."""
     n = len(edges) - 1
     if n == 1:
         return (0, 1) if hi >= edges[0] and lo <= edges[-1] else (0, 0)
-    i0 = int(np.searchsorted(edges, lo, side="right")) - 1
-    i1 = int(np.searchsorted(edges, hi, side="left"))
+    i0 = bisect.bisect_right(edges, lo) - 1
+    i1 = bisect.bisect_left(edges, hi)
     return max(i0, 0), min(max(i1, 0), n)
 
 
-def _cell_of(edges: np.ndarray, x: float) -> int:
+def _cell_of(edges: tuple, x: float) -> int:
     """Index of the cell containing x, clamped into range."""
     n = len(edges) - 1
     if n == 1:
         return 0
-    return min(max(int(np.searchsorted(edges, x, side="right")) - 1, 0), n - 1)
+    return min(max(bisect.bisect_right(edges, x) - 1, 0), n - 1)
 
 
 def _loosen(bound: float) -> float:
-    """A distance bound widened past the rounding of numpy and float sums."""
+    """A distance bound widened past the rounding of float sums."""
     return bound * (1.0 + 1e-9) + 1e-12
 
 
-def _hit_cells(pitch, yaw, proj, length, reach):
+def _hit_cells(cp, sp, cy, sy, proj, length, reach):
     """Cells whose link segment passes within `reach` of a sphere center.
 
-    proj = the center relative to the pivot, projected on the joint frame
-    triad (forward, lateral, up) plus its squared norm; the candidate link
-    direction at cell center (p, y) is
+    cp, sp = cos and sin of the window's pitch cell centers, cy, sy of its
+    yaw cell centers; proj = the center relative to the pivot, projected
+    on the joint frame triad (forward, lateral, up) plus its squared norm.
+    The candidate link direction at cell center (p, y) is
     cos(p)cos(y)*forward + cos(p)sin(y)*lateral + sin(p)*up.
     """
     rf, rl, ru, rr = proj
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    s = (
-        np.outer(cp * rf, cy)
-        + np.outer(cp * rl, sy)
-        + np.outer(sp, np.ones_like(cy)) * ru
-    )
+    s = (cp * rf)[:, None] * cy + (cp * rl)[:, None] * sy + (sp * ru)[:, None]
     t = np.clip(s, 0.0, length)
     d2 = rr - 2.0 * t * s + t * t
     return d2 <= reach * reach
@@ -246,6 +254,12 @@ class ConeConstraints:
     forbidden cell. plan and ik_phase build one per call; fabrik.solve
     invokes it at every link visit with the sweep's working positions.
 
+    Each visit first gathers the spheres within reach in one pass in plain
+    Python floats (_touch_spheres), then rasterizes only those (_rasterize)
+    from the joint's cached cosine and sine tables; its 3-vector dot
+    products stay numpy, because np.vecdot rounds as np.dot and
+    np.linalg.norm do (fused multiply-adds) and Python floats cannot.
+
     Call order: each sweep must start at its first joint (backward: n - 1,
     forward: 0), as fabrik.solve does, because that call caches the
     sweep's segment geometry for the virtual self-spheres; a call at a
@@ -255,58 +269,38 @@ class ConeConstraints:
     def __init__(self, model: ChainModel, obstacles: Sequence[SphereObstacle], cfg: PlannerConfig):
         self.model = model
         self.cfg = cfg
-        self.real_centers = (
-            np.array([o.center for o in obstacles], dtype=float)
-            if obstacles
-            else np.empty((0, 3))
-        )
-        self.real_radii = np.array([o.radius for o in obstacles], dtype=float)
+        res = cfg.angular_resolution
         self.grids = [
-            (
-                _axis_grid(lim.pitch_min, lim.pitch_max, cfg.angular_resolution),
-                _axis_grid(lim.yaw_min, lim.yaw_max, cfg.angular_resolution),
-            )
+            (_axis_grid(lim.pitch_min, lim.pitch_max, res), _axis_grid(lim.yaw_min, lim.yaw_max, res))
             for lim in model.limits
         ]
-        self._thick = np.asarray(model.thicknesses, dtype=float)
+        lengths = np.asarray(model.lengths, dtype=float)
+        thick = np.asarray(model.thicknesses, dtype=float)
         # full-resolution diagonal on every joint: inside the sweep, extra
         # conservatism is cheap and keeps the margin uniform across joints
         # whose live axes differ
-        self._lips = (
-            np.asarray(model.lengths, dtype=float)
-            * 0.5
-            * cfg.angular_resolution
-            * math.sqrt(2.0)
-            * 1.0001
-        )
+        lips = lengths * 0.5 * res * math.sqrt(2.0) * 1.0001
+        self._lengths, self._thick, self._lips = lengths.tolist(), thick.tolist(), lips.tolist()
         # a chain of two links has no non-adjacent pair, so no self-spheres
-        self._has_virtual = model.n_links > 2 and bool((self._thick > 0.0).any())
-        # the plain-float broad phase: per joint, the part of the touch
-        # reach every sphere shares, and the real spheres as (x, y, z,
-        # squared reach); each term is loosened, so every sum of them is
-        self._reach = _loosen(
-            np.asarray(model.lengths, dtype=float) + cfg.clearance_margin + self._thick + self._lips
-        ).tolist()
-        real = list(zip(self.real_centers.tolist(), self.real_radii.tolist()))
-        self._real_reach = [
-            [(x, y, z, (reach + _loosen(r)) ** 2) for (x, y, z), r in real]
-            for reach in self._reach
-        ]
+        self._has_virtual = model.n_links > 2 and bool((thick > 0.0).any())
+        # per joint, the part of the touch reach every virtual sphere
+        # shares, loosened, for the links' bounding-ball pre-test
+        self._reach = _loosen(lengths + cfg.clearance_margin + thick + lips).tolist()
+        # per joint, the real spheres as (x, y, z, radius, squared bound),
+        # the bound summed in the order the keep test needs
+        m = cfg.clearance_margin
+        real = [(*o.center.tolist(), float(o.radius)) for o in obstacles]
+        self._real = []
+        for length, thick_k, lip in zip(self._lengths, self._thick, self._lips):
+            bounds = [length + r + m + thick_k + lip for _, _, _, r in real]
+            self._real.append([(x, y, z, r, b * b) for (x, y, z, r), b in zip(real, bounds)])
         self._sweep = None
-        self._sweep_diffs = None
-        self._sweep_len2 = None
-        self._sweep_balls = None
+        self._sweep_links = []
 
     def __call__(self, phase, joint, desired, limits, frame, pivot, positions):
         self._enter_sweep(phase, joint, positions)
-        if self._out_of_reach(phase, joint, pivot):
-            return clamp_to_limits(desired.pitch, desired.yaw, limits)
-        centers, touch = self._touch_spheres(phase, joint, positions, pivot)
-        if centers is None:
-            return clamp_to_limits(desired.pitch, desired.yaw, limits)
-        if phase is Phase.BACKWARD:
-            centers = 2.0 * pivot - centers
-        hits = self._rasterize(joint, frame, pivot, centers, touch)
+        spheres = self._touch_spheres(phase, joint, pivot)
+        hits = self._rasterize(joint, frame, pivot, spheres) if spheres else None
         if not hits:
             return clamp_to_limits(desired.pitch, desired.yaw, limits)
         try:
@@ -319,9 +313,9 @@ class ConeConstraints:
         joint, require that this sweep was started.
 
         A sweep's virtual-sphere sources are its entry positions (the
-        visited side is never read), so each link's direction, squared
-        length and bounding ball (midpoint, half-length + thickness) hold
-        for the whole sweep.
+        visited side is never read), so each link's start, direction,
+        squared length and bounding ball (midpoint, half-length +
+        thickness, loosened) hold for the whole sweep.
         """
         first = self.model.n_links - 1 if phase is Phase.BACKWARD else 0
         if joint != first:
@@ -330,111 +324,90 @@ class ConeConstraints:
             return
         self._sweep = phase
         if self._has_virtual:
-            diffs = np.diff(positions, axis=0)
-            self._sweep_diffs = diffs
-            self._sweep_len2 = np.einsum("ij,ij->i", diffs, diffs)
-            mids = positions[:-1] + 0.5 * diffs
-            halves = _loosen(0.5 * np.sqrt(self._sweep_len2) + self._thick)
-            self._sweep_balls = [
-                (x, y, z, h) for (x, y, z), h in zip(mids.tolist(), halves.tolist())
-            ]
+            p = positions.tolist()
+            self._sweep_links = []
+            for (ax, ay, az), (bx, by, bz), thick in zip(p, p[1:], self._thick):
+                dx, dy, dz = bx - ax, by - ay, bz - az
+                len2 = (dx * dx + dz * dz) + dy * dy
+                half = _loosen(0.5 * math.sqrt(len2) + thick)
+                ball = (ax + 0.5 * dx, ay + 0.5 * dy, az + 0.5 * dz, half)
+                self._sweep_links.append((ax, ay, az, dx, dy, dz, len2, thick, *ball))
 
-    def _out_of_reach(self, phase, joint, pivot):
-        """True when no sphere can come within reach of the link, decided
-        in plain floats before any array is built.
+    def _touch_spheres(self, phase, joint, pivot):
+        """The spheres that can touch the link, as a list of (x, y, z,
+        touch): the link's center-line segment closer than `touch` to
+        (x, y, z) collides. Backward centers come reflected through the
+        pivot, so the link extends toward them as toward forward ones.
 
-        Each bound over-estimates _touch_spheres' (a virtual sphere lies
-        within its link's bounding ball) and is loosened past rounding, so
-        this holds only when _touch_spheres would keep no sphere. Spheres of
-        radius 0 count here although _touch_spheres drops them.
+        One pass in plain floats over the real spheres and the virtual
+        self-spheres at the closest points of the sweep's unplaced links
+        other than the neighbour. A sphere is kept when its center lies
+        within length + radius + margin + thickness + lip of the pivot;
+        the margin then shrinks where the pivot sits close, so the touch
+        sphere never swallows the pivot while true clearance is still
+        positive. Every 3-term dot product is summed as
+        (x0*y0 + x2*y2) + x1*y1, the order of numpy's einsum over rows of
+        three, so the spheres match a numpy evaluation bit for bit.
         """
         px, py, pz = pivot.tolist()
-        for x, y, z, reach2 in self._real_reach[joint]:
-            dx, dy, dz = x - px, y - py, z - pz
-            if dx * dx + dy * dy + dz * dz <= reach2:
-                return False
-        if self._has_virtual:
-            if phase is Phase.BACKWARD:
-                balls = self._sweep_balls[: max(joint - 1, 0)]
-            else:
-                balls = self._sweep_balls[joint + 2 :]
-            reach = self._reach[joint]
-            for x, y, z, h in balls:
-                dx, dy, dz = x - px, y - py, z - pz
-                bound = reach + h
-                if dx * dx + dy * dy + dz * dz <= bound * bound:
-                    return False
-        return True
-
-    def _touch_spheres(self, phase, joint, positions, pivot):
-        """Candidate spheres as (centers, touch distances): the link's
-        center-line segment closer than `touch` to a center collides.
-        None when no sphere can reach the link."""
-        thick_k = float(self._thick[joint])
-        if self._has_virtual:
-            n = self.model.n_links
-            if phase is Phase.BACKWARD:
-                j0, j1 = 0, joint - 1
-            else:
-                j0, j1 = joint + 2, n
+        length, thick_k, lip = self._lengths[joint], self._thick[joint], self._lips[joint]
+        m = self.cfg.clearance_margin
+        found = []
+        for x, y, z, r, bound2 in self._real[joint]:
+            ex, ey, ez = x - px, y - py, z - pz
+            d2 = (ex * ex + ez * ez) + ey * ey
+            if d2 <= bound2:
+                found.append((x, y, z, r, d2))
+        if phase is Phase.BACKWARD:
+            links = self._sweep_links[: max(joint - 1, 0)]
         else:
-            j0 = j1 = 0
-        if j1 > j0:
-            a = positions[j0:j1]
-            d = self._sweep_diffs[j0:j1]
-            t = np.einsum("ij,ij->i", pivot[None, :] - a, d) / self._sweep_len2[j0:j1]
-            np.clip(t, 0.0, 1.0, out=t)
-            v_centers = a + t[:, None] * d
-            v_radii = self._thick[j0:j1]
-            if self.real_centers.size:
-                centers = np.concatenate([self.real_centers, v_centers], axis=0)
-                radii = np.concatenate([self.real_radii, v_radii])
-            else:
-                centers, radii = v_centers, v_radii
-        elif self.real_centers.size:
-            centers, radii = self.real_centers, self.real_radii
-        else:
-            return None, None
+            links = self._sweep_links[joint + 2 :]
+        reach = self._reach[joint]
+        for ax, ay, az, dx, dy, dz, len2, r, mx, my, mz, half in links:
+            # bounding-ball pre-test: a virtual center lies within its
+            # link's ball, and both bounds are loosened past rounding
+            ex, ey, ez = mx - px, my - py, mz - pz
+            b = reach + half
+            if ex * ex + ey * ey + ez * ez > b * b:
+                continue
+            t = ((px - ax) * dx + (pz - az) * dz + (py - ay) * dy) / len2
+            t = min(max(t, 0.0), 1.0)
+            x, y, z = ax + t * dx, ay + t * dy, az + t * dz
+            ex, ey, ez = x - px, y - py, z - pz
+            d2 = (ex * ex + ez * ez) + ey * ey
+            b = length + r + m + thick_k + lip
+            if d2 <= b * b:
+                found.append((x, y, z, r, d2))
+        spheres = []
+        for x, y, z, r, d2 in found:
+            touch = r + max(min(m, 0.5 * (math.sqrt(d2) - thick_k - r)), 0.0) + thick_k
+            if phase is Phase.BACKWARD:
+                x, y, z = 2.0 * px - x, 2.0 * py - y, 2.0 * pz - z
+            spheres.append((x, y, z, touch))
+        return spheres
 
-        length = float(self.model.lengths[joint])
-        lip = float(self._lips[joint])
-        delta = centers - pivot
-        d2 = np.einsum("ij,ij->i", delta, delta)
-        bound = length + radii + self.cfg.clearance_margin + thick_k + lip
-        keep = (d2 <= bound * bound) & (radii > 0.0)
-        if not keep.any():
-            return None, None
-        centers = centers[keep]
-        radii = radii[keep]
-        dist = np.sqrt(d2[keep])
-        # shrink the margin where the pivot sits close, so the touch sphere
-        # never swallows the pivot while true clearance is still positive
-        margin = np.clip(
-            np.minimum(self.cfg.clearance_margin, 0.5 * (dist - thick_k - radii)),
-            0.0,
-            None,
-        )
-        return centers, radii + margin + thick_k
-
-    def _rasterize(self, joint, frame, pivot, centers, touch):
+    def _rasterize(self, joint, frame, pivot, spheres):
         """Forbidden cells per sphere: list of (i0, j0, hit bool array)."""
-        (pe, pc), (ye, yc) = self.grids[joint]
-        length = float(self.model.lengths[joint])
-        lip = float(self._lips[joint])
-        f, u = frame.forward, frame.up
-        lat = cross3(u, f)
+        (_, pedges, pcos, psin), (_, yedges, ycos, ysin) = self.grids[joint]
+        length, lip = self._lengths[joint], self._lips[joint]
+        fx, fy, fz = frame.forward.tolist()
+        ux, uy, uz = frame.up.tolist()
+        # forward, lateral (up x forward), up
+        triad = np.array(
+            [[fx, fy, fz], [uy * fz - uz * fy, uz * fx - ux * fz, ux * fy - uy * fx], [ux, uy, uz]]
+        )
+        px, py, pz = pivot.tolist()
         hits = []
-        for c, t_m in zip(centers, touch):
-            rel = c - pivot
-            dist = float(np.linalg.norm(rel))
-            reach = t_m + lip
+        for x, y, z, touch in spheres:
+            rel = np.array([x - px, y - py, z - pz])
+            rr = float(np.vecdot(rel, rel))
+            dist = math.sqrt(rr)
+            reach = touch + lip
             if dist > length + reach:
                 continue
             if dist <= reach:
                 # pivot itself within touch: every direction collides
-                hits.append(
-                    (0, 0, np.ones((len(pc), len(yc)), dtype=bool))
-                )
+                hits.append((0, 0, np.ones((len(pcos), len(ycos)), dtype=bool)))
                 continue
             if dist * dist <= length * length + reach * reach:
                 beta = math.asin(reach / dist)
@@ -449,31 +422,30 @@ class ConeConstraints:
                         1.0,
                     )
                 )
-            axis = rel / dist
-            pitch_c = math.asin(min(max(float(np.dot(axis, u)), -1.0), 1.0))
-            yaw_c = math.atan2(float(np.dot(axis, lat)), float(np.dot(axis, f)))
-            p_lo = max(pitch_c - beta, pe[0])
-            p_hi = min(pitch_c + beta, pe[-1])
+            # rel and its unit axis on the triad
+            (rf, rl, ru), (af, al, au) = np.vecdot(
+                np.array([rel, rel / dist])[:, None, :], triad
+            ).tolist()
+            pitch_c = math.asin(min(max(au, -1.0), 1.0))
+            yaw_c = math.atan2(al, af)
+            p_lo = max(pitch_c - beta, pedges[0])
+            p_hi = min(pitch_c + beta, pedges[-1])
             if p_lo > p_hi:
                 continue
             cos_min = min(math.cos(p_lo), math.cos(p_hi))
             if cos_min < 1e-9:
-                yaw_spans = [(ye[0], ye[-1])]
+                yaw_spans = [(yedges[0], yedges[-1])]
             else:
-                yaw_spans = _window_spans(yaw_c, beta / cos_min, ye[0], ye[-1])
-            i0, i1 = _index_range(pe, p_lo, p_hi)
-            proj = (
-                float(np.dot(rel, f)),
-                float(np.dot(rel, lat)),
-                float(np.dot(rel, u)),
-                float(np.dot(rel, rel)),
-            )
+                yaw_spans = _window_spans(yaw_c, beta / cos_min, yedges[0], yedges[-1])
+            i0, i1 = _index_range(pedges, p_lo, p_hi)
+            if i1 <= i0:
+                continue
             for s_lo, s_hi in yaw_spans:
-                j0, j1 = _index_range(ye, s_lo, s_hi)
-                if i1 <= i0 or j1 <= j0:
+                j0, j1 = _index_range(yedges, s_lo, s_hi)
+                if j1 <= j0:
                     continue
                 hit = _hit_cells(
-                    pc[i0:i1], yc[j0:j1], proj, length, reach
+                    pcos[i0:i1], psin[i0:i1], ycos[j0:j1], ysin[j0:j1], (rf, rl, ru, rr), length, reach
                 )
                 if hit.any():
                     hits.append((i0, j0, hit))
@@ -485,7 +457,7 @@ class ConeConstraints:
         Works on boolean masks over the union bounding box of the hit
         windows; everything outside that box is safe by construction.
         """
-        (pe, _), (ye, _) = self.grids[joint]
+        (pe, pedges, _, _), (ye, yedges, _, _) = self.grids[joint]
         i0 = min(h[0] for h in hits)
         j0 = min(h[1] for h in hits)
         i1 = max(h[0] + h[2].shape[0] for h in hits)
@@ -495,8 +467,8 @@ class ConeConstraints:
             forbidden[hi - i0 : hi - i0 + hit.shape[0], hj - j0 : hj - j0 + hit.shape[1]] |= hit
 
         p_clamp, y_clamp = clamp_to_limits(desired.pitch, desired.yaw, limits)
-        ci = _cell_of(pe, p_clamp) - i0
-        cj = _cell_of(ye, y_clamp) - j0
+        ci = _cell_of(pedges, p_clamp) - i0
+        cj = _cell_of(yedges, y_clamp) - j0
         inside_box = 0 <= ci < forbidden.shape[0] and 0 <= cj < forbidden.shape[1]
         if not inside_box or not forbidden[ci, cj]:
             return p_clamp, y_clamp
@@ -620,10 +592,17 @@ def min_clearance(model: ChainModel, positions, obstacles) -> float:
     len2 = np.einsum("ij,ij->i", d, d)
     th = model.thicknesses
     best = math.inf
-    for o in obstacles:
-        t = np.clip(np.einsum("ij,ij->i", o.center[None, :] - a, d) / len2, 0.0, 1.0)
-        gaps = np.linalg.norm(o.center[None, :] - (a + t[:, None] * d), axis=1) - th - o.radius
-        best = min(best, float(np.min(gaps)))
+    if obstacles:
+        # every (obstacle, link) pair as one row, obstacle-major, through
+        # the same row kernels as one obstacle at a time
+        k = len(obstacles)
+        centers = np.array([o.center for o in obstacles], dtype=float)
+        radii = np.array([o.radius for o in obstacles], dtype=float)
+        rel = (centers[:, None, :] - a).reshape(-1, 3)
+        dk, ak = np.tile(d, (k, 1)), np.tile(a, (k, 1))
+        t = np.clip(np.einsum("ij,ij->i", rel, dk) / np.tile(len2, k), 0.0, 1.0)
+        gaps = np.linalg.norm(np.repeat(centers, n, axis=0) - (ak + t[:, None] * dk), axis=1)
+        best = float(np.min(gaps - np.tile(th, k) - np.repeat(radii, n)))
     i, j = _link_pairs(n)
     if i.size:
         # segment_segment_distance evaluates each pair with the

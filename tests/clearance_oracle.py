@@ -3,7 +3,9 @@
 The link-pair part evaluates geometry.segment_segment_distance on one
 validated Segment3 pair at a time, in the same pair order and with the
 same thickness subtraction as the batched kernel, so the two must agree
-bit for bit. The link-obstacle part is the planner's own arithmetic.
+bit for bit. The link-obstacle part runs the planner's row arithmetic one
+obstacle at a time, where the planner stacks every obstacle's rows into
+one batch.
 """
 
 import math

@@ -3,6 +3,7 @@ and rasterization, checked on the chooser plan() runs, and the outer
 goal-stepping loop."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import vofabrik.planner
 from chooser_oracle import ChooserCase
+from chooser_reference import ReferenceNarrowPhase
 from clearance_oracle import scalar_min_clearance
 from vofabrik.chain import (
     ChainModel,
@@ -257,6 +259,12 @@ CHOOSER_CASES = {
     ),
     "self_backward": (folded_chain, [], Phase.BACKWARD, 4, (-0.4, 0.4), (-2.2, -0.2)),
     "self_forward": (folded_chain, [], Phase.FORWARD, 1, (-0.4, 0.4), (0.6, 3.0)),
+    # link 0 has no thickness but link 4 has: link 0 is still a virtual
+    # sphere, of radius 0, and pointing at its end collides
+    "self_thin_source": (
+        lambda: folded_chain([0.0, 0.01, 0.01, 0.01, 0.01, 0.01]),
+        [], Phase.BACKWARD, 4, (-0.3, 0.3), (-1.9, -1.2),
+    ),
 }
 
 
@@ -550,7 +558,7 @@ class TestMinClearance:
             model = make_chain(n, thickness=rng.uniform(0.0, 0.015, size=n))
             obstacles = [
                 SphereObstacle(rng.normal(scale=0.2, size=3), float(r))
-                for r in rng.uniform(0.01, 0.05, size=int(rng.integers(0, 4)))
+                for r in rng.uniform(0.01, 0.05, size=int(rng.integers(0, 13)))
             ]
             for positions, obs in ((p, []), (p, obstacles)):
                 got = min_clearance(model, positions, obs)
@@ -596,28 +604,136 @@ class TestMinClearance:
                     clearance(model, positions, [])
 
 
-class CheckedChooser(ConeConstraints):
-    """The planner's chooser, checking after every visit that the
-    plain-float reject fired only where the numpy broad phase keeps no
-    sphere."""
+def fma(x, y, z):
+    """x * y + z rounded once, as a fused multiply-add."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
 
-    visits = rejected = 0
+
+class TestFloatFacts:
+    """The rounding facts that keep the chooser's narrow phase bit-equal to
+    its numpy reference. A numpy build that breaks one fails here first,
+    with the reason, before the golden digests move."""
+
+    def test_einsum_rows_of_three_sum_middle_term_last(self):
+        rng = np.random.default_rng(11)
+        for rows in range(1, 31):
+            x, y = rng.normal(size=(2, rows, 3))
+            got = np.einsum("ij,ij->i", x, y).tolist()
+            for g, (x0, x1, x2), (y0, y1, y2) in zip(got, x.tolist(), y.tolist()):
+                assert g == (x0 * y0 + x2 * y2) + x1 * y1, (
+                    "einsum no longer sums a row of three as (x0*y0 + x2*y2) + x1*y1, "
+                    "the order ConeConstraints._touch_spheres repeats in plain floats"
+                )
+
+    def test_numpy_dot_products_are_fused(self):
+        rng = np.random.default_rng(12)
+        samples = plain = 0
+        for _ in range(400):
+            x, y = rng.normal(size=(2, 3))
+            (x0, x1, x2), (y0, y1, y2) = x.tolist(), y.tolist()
+            want = fma(x2, y2, fma(x1, y1, x0 * y0))
+            triad = np.array([y, x, rng.normal(size=3)])
+            got = (
+                float(np.dot(x, y)),
+                float(x @ y),
+                float(np.vecdot(x, y)),
+                float(np.vecdot(x[None, None, :], triad)[0, 0]),
+                float(np.vecdot(np.array([x, x]), y)[1]),
+            )
+            assert got == (want,) * 5, (
+                "np.dot, @ and np.vecdot must all compute fma(x2,y2, fma(x1,y1, x0*y0)): "
+                "ConeConstraints._rasterize uses np.vecdot where its numpy reference "
+                "uses np.dot and np.linalg.norm"
+            )
+            assert float(np.linalg.norm(x)) == math.sqrt(fma(x2, x2, fma(x1, x1, x0 * x0)))
+            plain += want != (x0 * y0 + x1 * y1) + x2 * y2
+            samples += 1
+        # why those products stay numpy: plain floats round differently
+        assert 0 < plain < samples
+
+    def test_grid_trig_tables_equal_trig_of_each_window(self):
+        res = PlannerConfig().angular_resolution
+        rng = np.random.default_rng(13)
+        for lo, hi in ((-math.pi, math.pi), (-1.4, 1.4), (-math.pi / 2, 2.0), (0.0, 0.0)):
+            edges, _, cos, sin = vofabrik.planner._axis_grid(lo, hi, res)
+            centers = 0.5 * (edges[:-1] + edges[1:])
+            assert not (cos.flags.writeable or sin.flags.writeable or edges.flags.writeable)
+            for _ in range(200):
+                i, j = sorted(rng.integers(0, len(centers) + 1, size=2))
+                assert np.array_equal(cos[i:j], np.cos(centers[i:j])) and np.array_equal(
+                    sin[i:j], np.sin(centers[i:j])
+                ), "np.cos / np.sin of a slice must equal the same slice of the whole table"
+
+
+class CheckedChooser(ConeConstraints):
+    """The planner's chooser, checking on every visit that its plain-float
+    narrow phase gives the same spheres (==), the same inputs to each
+    window's cell test (==, the trig tables against np.cos / np.sin of the
+    window) and the same hit windows (array_equal) as the frozen numpy
+    reference in chooser_reference."""
+
+    visits = rejected = rasterized = 0
+    cell_tests = []
+
+    @staticmethod
+    def recording_hit_cells(*args, hit_cells=vofabrik.planner._hit_cells):
+        """The planner's _hit_cells, recording its arguments."""
+        CheckedChooser.cell_tests.append(args)
+        return hit_cells(*args)
+
+    def __init__(self, model, obstacles, cfg):
+        super().__init__(model, obstacles, cfg)
+        self.reference = ReferenceNarrowPhase(model, obstacles, cfg)
 
     def __call__(self, phase, joint, desired, limits, frame, pivot, positions):
-        picked = super().__call__(phase, joint, desired, limits, frame, pivot, positions)
+        if joint == (self.model.n_links - 1 if phase is Phase.BACKWARD else 0):
+            self.reference.enter_sweep(positions)
+        self.positions = positions
+        return super().__call__(phase, joint, desired, limits, frame, pivot, positions)
+
+    def _touch_spheres(self, phase, joint, pivot):
+        spheres = super()._touch_spheres(phase, joint, pivot)
+        centers, touch = self.reference.touch_spheres(phase, joint, self.positions, pivot)
+        expected = []
+        if centers is not None:
+            if phase is Phase.BACKWARD:
+                centers = 2.0 * pivot - centers
+            expected = [(*c, t) for c, t in zip(centers.tolist(), touch.tolist())]
+        assert spheres == expected, (phase, joint)
         type(self).visits += 1
-        if self._out_of_reach(phase, joint, pivot):
-            type(self).rejected += 1
-            centers, touch = self._touch_spheres(phase, joint, positions, pivot)
-            assert centers is None and touch is None, (phase, joint)
-        return picked
+        type(self).rejected += not spheres
+        return spheres
+
+    def _rasterize(self, joint, frame, pivot, spheres):
+        CheckedChooser.cell_tests.clear()
+        hits = super()._rasterize(joint, frame, pivot, spheres)
+        centers = np.array([s[:3] for s in spheres])
+        touch = np.array([s[3] for s in spheres])
+        want_tests = []
+        expected = self.reference.rasterize(joint, frame, pivot, centers, touch, want_tests)
+        assert len(CheckedChooser.cell_tests) == len(want_tests), joint
+        for (cp, sp, cy, sy, *rest), (pitch, yaw, *want_rest) in zip(CheckedChooser.cell_tests, want_tests):
+            assert rest == want_rest, joint
+            for table, want in ((cp, np.cos(pitch)), (sp, np.sin(pitch)), (cy, np.cos(yaw)), (sy, np.sin(yaw))):
+                assert np.array_equal(table, want), joint
+        assert [h[:2] for h in hits] == [h[:2] for h in expected], joint
+        for (_, _, hit), (_, _, want) in zip(hits, expected):
+            assert np.array_equal(hit, want), joint
+        type(self).rasterized += 1
+        return hits
 
 
 class TestBroadPhaseReject:
+    """The chooser's plain-float narrow phase, which settles a visit with
+    no sphere in reach before any array is built, against the frozen numpy
+    reference on every visit of whole plans."""
+
     def run_checked(self, monkeypatch, model, state, goal, obstacles, cfg):
+        """Share of the plan's visits that kept no sphere."""
         monkeypatch.setattr(vofabrik.planner, "ConeConstraints", CheckedChooser)
-        monkeypatch.setattr(CheckedChooser, "visits", 0)
-        monkeypatch.setattr(CheckedChooser, "rejected", 0)
+        monkeypatch.setattr(vofabrik.planner, "_hit_cells", CheckedChooser.recording_hit_cells)
+        for counter in ("visits", "rejected", "rasterized"):
+            monkeypatch.setattr(CheckedChooser, counter, 0)
         plan(model, state, goal, obstacles, cfg)
         assert CheckedChooser.visits > 0
         return CheckedChooser.rejected / CheckedChooser.visits
@@ -626,18 +742,40 @@ class TestBroadPhaseReject:
     def test_reject_is_conservative_on_shipped_plans(self, monkeypatch, name):
         sc = load_scenario(scenario_path(name))
         share = self.run_checked(monkeypatch, sc.chain, sc.initial_state(), sc.goal, sc.obstacles, sc.planner)
+        assert CheckedChooser.rasterized > 0
         if name == "cavity_19dof_extended":
             assert share > 0.5
 
     @pytest.mark.parametrize("thickness", [0.01, [0.0, 0.01, 0.01, 0.01, 0.01, 0.01]])
     def test_reject_is_conservative_on_folded_thick_chain(self, monkeypatch, thickness):
         # the fold keeps links within reach of one another, so some visits
-        # reach the numpy broad phase and some are rejected before it
+        # keep spheres and some keep none
         model, state = folded_chain(thickness)
         obstacles = [SphereObstacle(np.array([0.05, 0.2, 0.0]), 0.03)]
         cfg = PlannerConfig(max_steps=5)
         share = self.run_checked(monkeypatch, model, state, np.array([0.0, 0.25, 0.05]), obstacles, cfg)
         assert 0.0 < share < 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_narrow_phase_matches_reference_on_seeded_snakes(self, monkeypatch, seed):
+        # a random pose of a limited snake, with spheres strewn around it
+        # but clear of it, stepping toward a random goal in reach
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 14))
+        model = snake_chain(n=n, length=0.06, thickness=float(rng.uniform(0.004, 0.015)))
+        angles = np.array([rng.uniform((l.pitch_min, l.yaw_min), (l.pitch_max, l.yaw_max)) for l in model.limits])
+        state = state_from_angles(model, 0.5 * angles)
+        while min_clearance(model, state.positions, []) <= 0.0:
+            angles *= 0.5
+            state = state_from_angles(model, 0.5 * angles)
+        obstacles = []
+        while len(obstacles) < 3:
+            o = SphereObstacle(state.positions[int(rng.integers(1, n + 1))] + rng.normal(scale=0.06, size=3), 0.02)
+            if min_clearance(model, state.positions, obstacles + [o]) > 0.01:
+                obstacles.append(o)
+        goal = state.positions[-1] + rng.normal(scale=0.05, size=3)
+        self.run_checked(monkeypatch, model, state, goal, obstacles, PlannerConfig(max_steps=4))
+        assert CheckedChooser.rasterized > 0
 
     def test_sweep_entered_midway_raises_typed_error(self):
         model, state = folded_chain()
