@@ -25,6 +25,9 @@ import numpy as np
 
 from .geometry import Capsule3, Segment3, as_vec3
 
+# float-noise allowance of fk's limit check and ChainState.validate
+_TOL = 1e-9
+
 
 class AngleOutOfLimits(ValueError):
     """A joint angle violates its limits."""
@@ -86,17 +89,6 @@ class JointLimits:
         )
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors (much faster than np.cross here)."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
-
-
 class JointFrame(NamedTuple):
     """Orthonormal (forward, up) pair defining a joint's parent frame."""
 
@@ -123,11 +115,6 @@ def advance_frame(frame: JointFrame, pitch: float, yaw: float):
     f2 = np.array([cp * f1x + sp * ux, cp * f1y + sp * uy, cp * f1z + sp * uz])
     u2 = np.array([cp * ux - sp * f1x, cp * uy - sp * f1y, cp * uz - sp * f1z])
     return f2, JointFrame(f2, u2)
-
-
-def direction_from_angles(frame: JointFrame, pitch: float, yaw: float) -> np.ndarray:
-    d, _ = advance_frame(frame, pitch, yaw)
-    return d
 
 
 def angles_from_direction(frame: JointFrame, direction: np.ndarray) -> JointAngles:
@@ -234,7 +221,7 @@ class ChainState:
     def copy(self) -> "ChainState":
         return ChainState(self.positions.copy(), self.angles.copy())
 
-    def validate(self, model: ChainModel, tol: float = 1e-9) -> None:
+    def validate(self, model: ChainModel) -> None:
         """Check the rigid-link, base-anchor, and fk-consistency invariants."""
         if self.positions.shape != (model.n_links + 1, 3):
             raise InconsistentPositions(
@@ -248,13 +235,13 @@ class ChainState:
             raise InconsistentPositions("p_0 does not coincide with the model base")
         seg = np.linalg.norm(np.diff(self.positions, axis=0), axis=1)
         err = np.abs(seg - model.lengths)
-        if np.any(err > tol):
+        if np.any(err > _TOL):
             k = int(np.argmax(err))
             raise InconsistentPositions(
                 f"link {k} length {seg[k]:.12g} deviates from {model.lengths[k]:.12g}"
             )
         rebuilt = fk(model, self.angles, check_limits=False)
-        if float(np.max(np.linalg.norm(rebuilt - self.positions, axis=1))) > tol:
+        if float(np.max(np.linalg.norm(rebuilt - self.positions, axis=1))) > _TOL:
             raise InconsistentPositions("positions are not fk(angles)")
 
 
@@ -265,15 +252,15 @@ def _as_angle_array(angles, n_links: int) -> np.ndarray:
     return a
 
 
-def fk(model: ChainModel, angles, check_limits: bool = True, limit_tol: float = 1e-9) -> np.ndarray:
+def fk(model: ChainModel, angles, check_limits: bool = True) -> np.ndarray:
     """Forward kinematics: joint angles to the n_links + 1 joint positions."""
     a = _as_angle_array(angles, model.n_links)
     if check_limits:
         for j, lim in enumerate(model.limits):
             pitch, yaw = a[j]
-            if not (lim.pitch_min - limit_tol <= pitch <= lim.pitch_max + limit_tol):
+            if not (lim.pitch_min - _TOL <= pitch <= lim.pitch_max + _TOL):
                 raise AngleOutOfLimits(j, "pitch", pitch, lim.pitch_min, lim.pitch_max)
-            if not (lim.yaw_min - limit_tol <= yaw <= lim.yaw_max + limit_tol):
+            if not (lim.yaw_min - _TOL <= yaw <= lim.yaw_max + _TOL):
                 raise AngleOutOfLimits(j, "yaw", yaw, lim.yaw_min, lim.yaw_max)
 
     positions = np.empty((model.n_links + 1, 3))

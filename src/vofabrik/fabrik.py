@@ -36,7 +36,6 @@ from .chain import (
     JointLimits,
     advance_frame,
     angles_from_direction,
-    direction_from_angles,
     joint_frames,
 )
 from .geometry import DEGENERACY_THRESHOLD, as_vec3
@@ -57,7 +56,6 @@ class SolveStatus(Enum):
 class FabrikConfig:
     epsilon: float = 1e-3
     max_iterations: int = 100
-    limit_tolerance: float = 1e-9
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -115,7 +113,7 @@ def _backward_phase(model, p, dirs_entry, frames, target, choose):
         pitch, yaw = choose(
             Phase.BACKWARD, i, desired, model.limits[i], frames[i], p[i + 1], p
         )
-        chosen_dir = direction_from_angles(frames[i], pitch, yaw)
+        chosen_dir = advance_frame(frames[i], pitch, yaw)[0]
         p[i] = p[i + 1] - model.lengths[i] * chosen_dir
 
 

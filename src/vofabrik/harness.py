@@ -3,7 +3,9 @@
 A scenario is a single JSON document (``schema_version`` 1) describing a
 chain, its home configuration, a goal point, spherical obstacles, and planner
 overrides. All lengths are meters and all angles radians; the ``units`` block
-restates that inside the file so assets are self-describing.
+restates that inside the file so assets are self-describing. Obstacles are
+static: a nonzero ``velocity`` is a ValidationError, because the planner's
+chooser, its clearance check and the validator all hold obstacles fixed.
 
 Schema::
 
@@ -21,7 +23,7 @@ Schema::
       "initial_angles": [[pitch, yaw], ...],
       "goal": [x, y, z],
       "obstacles": [{"center": [x, y, z], "radius": r,
-                     "velocity": [vx, vy, vz]}, ...],  # velocity optional
+                     "velocity": [0, 0, 0]}, ...],  # optional, must be zero
       "planner": {"max_steps": 500, "ik": {"max_iterations": 40}, ...}
     }
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace, fields as dataclass_fields
+from dataclasses import dataclass, is_dataclass, replace, fields as dataclass_fields
 from importlib import resources
 from pathlib import Path
 
@@ -56,10 +58,9 @@ from .chain import (
     link_capsules,
     state_from_angles,
 )
-from .fabrik import FabrikConfig
 from .geometry import capsule_capsule_distance, capsule_sphere_distance
 from .planner import PlannerConfig, PlanStatus, min_clearance, plan
-from .velocity_obstacles import SphereObstacle, VOConfig
+from .velocity_obstacles import SphereObstacle
 
 SCHEMA_VERSION = 1
 
@@ -125,44 +126,29 @@ def _list_of(value, where):
 def config_with_overrides(base: PlannerConfig, overrides, where="planner") -> PlannerConfig:
     """Apply a (possibly nested) dict of overrides onto a PlannerConfig.
 
-    Top-level keys name PlannerConfig fields; ``ik`` and ``vo`` take nested
-    dicts for the FabrikConfig / VOConfig they wrap. Unknown keys and values
-    the config constructors reject are reported as ParseError with the field
-    path.
+    Keys name fields of the config; a field holding a nested config (``ik``
+    and ``vo``, the FabrikConfig / VOConfig it wraps) takes a nested dict.
+    Unknown keys and values the config constructors reject are reported as
+    ParseError with the field path.
     """
     if not isinstance(overrides, dict):
         raise ParseError(f"{where}: expected an object")
+    by_name = {f.name: f for f in dataclass_fields(base)}
     kwargs = {}
     for key, value in overrides.items():
-        if key == "ik":
-            kwargs["ik"] = _sub_config(base.ik, FabrikConfig, value, f"{where}.ik")
-        elif key == "vo":
-            kwargs["vo"] = _sub_config(base.vo, VOConfig, value, f"{where}.vo")
+        path = f"{where}.{key}"
+        if key not in by_name:
+            raise ParseError(f"{path}: unknown field")
+        if is_dataclass(getattr(base, key)):
+            kwargs[key] = config_with_overrides(getattr(base, key), value, path)
+        elif by_name[key].type in ("int", int):
+            kwargs[key] = _integer(value, path)
         else:
-            kwargs[key] = _config_value(PlannerConfig, key, value, where)
+            kwargs[key] = _number(value, path)
     try:
         return replace(base, **kwargs)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{where}: {e}") from e
-
-
-def _sub_config(base, cls, overrides, where):
-    if not isinstance(overrides, dict):
-        raise ParseError(f"{where}: expected an object")
-    kwargs = {key: _config_value(cls, key, value, where) for key, value in overrides.items()}
-    try:
-        return replace(base, **kwargs)
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"{where}: {e}") from e
-
-
-def _config_value(cls, key, value, where):
-    by_name = {f.name: f for f in dataclass_fields(cls)}
-    if key not in by_name:
-        raise ParseError(f"{where}.{key}: unknown field")
-    if by_name[key].type in ("int", int):
-        return _integer(value, f"{where}.{key}")
-    return _number(value, f"{where}.{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +277,10 @@ def _parse_obstacles(raw, where):
     for i, entry in enumerate(_list_of(raw, where)):
         center = _vec3(_require(entry, "center", f"{where}[{i}]"), f"{where}[{i}].center")
         radius = _number(_require(entry, "radius", f"{where}[{i}]"), f"{where}[{i}].radius")
-        velocity = (
-            _vec3(entry["velocity"], f"{where}[{i}].velocity")
-            if "velocity" in entry
-            else np.zeros(3)
-        )
+        if "velocity" in entry and _vec3(entry["velocity"], f"{where}[{i}].velocity").any():
+            raise ValidationError(f"{where}[{i}].velocity: obstacle {i} must be static (zero velocity)")
         try:
-            obstacles.append(SphereObstacle(center, radius, velocity))
+            obstacles.append(SphereObstacle(center, radius))
         except ValueError as e:
             raise ParseError(f"{where}[{i}]: {e}") from e
     return obstacles

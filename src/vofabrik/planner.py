@@ -11,7 +11,11 @@ within the touch threshold are marked forbidden. The mark threshold is
 inflated by the worst-case variation of the clearance function across one
 cell (link length x half cell diagonal), which makes the forbidden region
 a rigorous superset of the truly colliding set: any angle in an unmarked
-cell keeps the capsule strictly clear of the inflated sphere.
+cell keeps the capsule strictly clear of the inflated sphere. Where a
+joint's pitch limits pass +-pi/2, the windows around the mirrored angles
+(+-pi - pitch, yaw + pi), which aim the link the same way, are scanned too.
+When the desired angles fall in a forbidden cell, the nearest safe point is
+searched over the hit windows' union box grown by one cell on each side.
 
 The backward half-iteration reuses the same rasterizer by reflecting
 sphere centers through the pivot: the link then extends from the pivot
@@ -140,7 +144,6 @@ class PlannerConfig:
 
 @dataclass
 class StepMetrics:
-    joint_displacements: np.ndarray  # per-axis |delta|, flattened (2 per joint)
     wall_time: float
     min_clearance: float
 
@@ -172,26 +175,6 @@ def _axis_grid(lo: float, hi: float, resolution: float):
     return edges, tuple(edges.tolist()), cos, sin
 
 
-def _rect_difference(rects, cut):
-    """Subtract one rectangle from a list of rectangles."""
-    cplo, cphi, cylo, cyhi = cut
-    out = []
-    for plo, phi, ylo, yhi in rects:
-        if phi < cplo or plo > cphi or yhi < cylo or ylo > cyhi:
-            out.append((plo, phi, ylo, yhi))
-            continue
-        if plo < cplo:
-            out.append((plo, cplo, ylo, yhi))
-        if cphi < phi:
-            out.append((cphi, phi, ylo, yhi))
-        mp_lo, mp_hi = max(plo, cplo), min(phi, cphi)
-        if ylo < cylo:
-            out.append((mp_lo, mp_hi, ylo, cylo))
-        if cyhi < yhi:
-            out.append((mp_lo, mp_hi, cyhi, yhi))
-    return out
-
-
 def _window_spans(center: float, halfwidth: float, lo: float, hi: float):
     """Angle intervals around `center`, wrapped into (-pi, pi], clipped."""
     a, b = center - halfwidth, center + halfwidth
@@ -218,10 +201,7 @@ def _index_range(edges: tuple, lo: float, hi: float):
 
 def _cell_of(edges: tuple, x: float) -> int:
     """Index of the cell containing x, clamped into range."""
-    n = len(edges) - 1
-    if n == 1:
-        return 0
-    return min(max(bisect.bisect_right(edges, x) - 1, 0), n - 1)
+    return min(max(bisect.bisect_right(edges, x) - 1, 0), len(edges) - 2)
 
 
 def _loosen(bound: float) -> float:
@@ -428,34 +408,46 @@ class ConeConstraints:
             ).tolist()
             pitch_c = math.asin(min(max(au, -1.0), 1.0))
             yaw_c = math.atan2(al, af)
-            p_lo = max(pitch_c - beta, pedges[0])
-            p_hi = min(pitch_c + beta, pedges[-1])
-            if p_lo > p_hi:
-                continue
-            cos_min = min(math.cos(p_lo), math.cos(p_hi))
-            if cos_min < 1e-9:
-                yaw_spans = [(yedges[0], yedges[-1])]
-            else:
-                yaw_spans = _window_spans(yaw_c, beta / cos_min, yedges[0], yedges[-1])
-            i0, i1 = _index_range(pedges, p_lo, p_hi)
-            if i1 <= i0:
-                continue
-            for s_lo, s_hi in yaw_spans:
-                j0, j1 = _index_range(yedges, s_lo, s_hi)
-                if j1 <= j0:
+            centers = [(pitch_c, yaw_c, 1.0)]
+            if pedges[0] < -0.5 * math.pi or pedges[-1] > 0.5 * math.pi:
+                # (+-pi - pitch, yaw + pi) aims the link the same way, with
+                # cos(pitch) negated
+                yaw_m = yaw_c - math.pi if yaw_c > 0.0 else yaw_c + math.pi
+                centers += [(math.pi - pitch_c, yaw_m, -1.0), (-math.pi - pitch_c, yaw_m, -1.0)]
+            for p_c, y_c, sign in centers:
+                p_lo = max(p_c - beta, pedges[0])
+                p_hi = min(p_c + beta, pedges[-1])
+                if p_lo > p_hi:
                     continue
-                hit = _hit_cells(
-                    pcos[i0:i1], psin[i0:i1], ycos[j0:j1], ysin[j0:j1], (rf, rl, ru, rr), length, reach
-                )
-                if hit.any():
-                    hits.append((i0, j0, hit))
+                cos_min = min(sign * math.cos(p_lo), sign * math.cos(p_hi))
+                if cos_min < 1e-9:
+                    yaw_spans = [(yedges[0], yedges[-1])]
+                else:
+                    yaw_spans = _window_spans(y_c, beta / cos_min, yedges[0], yedges[-1])
+                i0, i1 = _index_range(pedges, p_lo, p_hi)
+                if i1 <= i0:
+                    continue
+                for s_lo, s_hi in yaw_spans:
+                    j0, j1 = _index_range(yedges, s_lo, s_hi)
+                    if j1 <= j0:
+                        continue
+                    hit = _hit_cells(
+                        pcos[i0:i1], psin[i0:i1], ycos[j0:j1], ysin[j0:j1], (rf, rl, ru, rr), length, reach
+                    )
+                    if hit.any():
+                        hits.append((i0, j0, hit))
         return hits
 
     def _nearest_safe(self, joint, limits, desired, hits):
-        """Desired angles, or the closest cell/rect point outside all hits.
+        """Desired angles clamped to the limits, or the closest point of a
+        safe cell to the raw desired angles.
 
-        Works on boolean masks over the union bounding box of the hit
-        windows; everything outside that box is safe by construction.
+        Works on a boolean mask over the union bounding box of the hit
+        windows; every cell outside that box is safe. The search runs only
+        when the clamped angles fall in a forbidden cell, so inside the box:
+        the nearest point of the rest of the limit rectangle then lies on
+        the box's edge, within its span, and the ring of cells one wider on
+        each side holds it. Ties break on (pitch, yaw).
         """
         (pe, pedges, _, _), (ye, yedges, _, _) = self.grids[joint]
         i0 = min(h[0] for h in hits)
@@ -473,33 +465,19 @@ class ConeConstraints:
         if not inside_box or not forbidden[ci, cj]:
             return p_clamp, y_clamp
 
-        # nearest among safe cells of the box, measured from the raw desired
-        cp = np.minimum(np.maximum(desired.pitch, pe[i0:i1]), pe[i0 + 1 : i1 + 1])
-        cy = np.minimum(np.maximum(desired.yaw, ye[j0:j1]), ye[j0 + 1 : j1 + 1])
+        # the box grown by one cell on each side, clipped to the grid
+        g0, h0 = max(i0 - 1, 0), max(j0 - 1, 0)
+        g1, h1 = min(i1 + 1, len(pe) - 1), min(j1 + 1, len(ye) - 1)
+        grown = np.zeros((g1 - g0, h1 - h0), dtype=bool)
+        grown[i0 - g0 : i1 - g0, j0 - h0 : j1 - h0] = forbidden
+        cp = np.minimum(np.maximum(desired.pitch, pe[g0:g1]), pe[g0 + 1 : g1 + 1])
+        cy = np.minimum(np.maximum(desired.yaw, ye[h0:h1]), ye[h0 + 1 : h1 + 1])
         d2 = (cp - desired.pitch)[:, None] ** 2 + (cy - desired.yaw)[None, :] ** 2
-        d2[forbidden] = np.inf
-        best = None
-        flat = int(np.argmin(d2))
-        if np.isfinite(d2.flat[flat]):
-            ii, jj = np.unravel_index(flat, d2.shape)
-            ties = np.argwhere(d2 == d2[ii, jj])
-            cands = sorted((cp[i], cy[j]) for i, j in ties)
-            best = (float(d2[ii, jj]), cands[0][0], cands[0][1])
-
-        # regions of the limit rectangle outside the union box
-        box = (pe[i0], pe[i1], ye[j0], ye[j1])
-        for plo, phi, ylo, yhi in _rect_difference(
-            [(limits.pitch_min, limits.pitch_max, limits.yaw_min, limits.yaw_max)],
-            box,
-        ):
-            p = min(max(desired.pitch, plo), phi)
-            y = min(max(desired.yaw, ylo), yhi)
-            key = ((p - desired.pitch) ** 2 + (y - desired.yaw) ** 2, p, y)
-            if best is None or key < best:
-                best = key
-        if best is None:
+        d2[grown] = np.inf
+        best = d2.min()
+        if best == np.inf:
             raise SafeSetEmpty()
-        return best[1], best[2]
+        return min((cp[i], cy[j]) for i, j in np.argwhere(d2 == best))
 
 
 def ik_phase(
@@ -655,12 +633,11 @@ def plan(
     obstacles = list(obstacles)
 
     initial_state.validate(model)
-    if obstacles or model.n_links >= 3:
-        clearance = min_clearance(model, initial_state.positions, obstacles)
-        if clearance <= 0.0:
-            raise InitialStateInCollision(
-                f"initial clearance {clearance:.6g} m is not positive"
-            )
+    clearance = min_clearance(model, initial_state.positions, obstacles)
+    if clearance <= 0.0:
+        raise InitialStateInCollision(
+            f"initial clearance {clearance:.6g} m is not positive"
+        )
 
     chooser = ConeConstraints(model, obstacles, cfg) if solver == "vofabrik" else None
     trajectory = [initial_state.copy()]
@@ -694,10 +671,8 @@ def plan(
         wall = time.perf_counter() - t0
 
         new_state = outcome.state
-        displacements = np.abs(new_state.angles - state.angles).reshape(-1)
         metrics.append(
             StepMetrics(
-                joint_displacements=displacements,
                 wall_time=wall,
                 min_clearance=min_clearance(model, new_state.positions, obstacles),
             )

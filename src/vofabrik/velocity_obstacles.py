@@ -57,14 +57,15 @@ class CollisionCone:
     apex_velocity_offset shifts the cone in velocity space by the obstacle
     velocity; axis points from the agent center to the obstacle center;
     truncation_distance is the center distance, combined_radius the sum of
-    the two radii.
+    the two radii. half_angle, asin(combined_radius / truncation_distance),
+    is derived from them.
     """
 
     apex_velocity_offset: np.ndarray
     axis: np.ndarray
-    half_angle: float
     truncation_distance: float
     combined_radius: float
+    half_angle: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -76,12 +77,9 @@ class CollisionCone:
                 "truncation_distance must exceed combined_radius "
                 f"({self.truncation_distance} <= {self.combined_radius})"
             )
-        expected = math.asin(self.combined_radius / self.truncation_distance)
-        if abs(self.half_angle - expected) > 1e-9:
-            raise ValueError(
-                f"half_angle {self.half_angle} inconsistent with "
-                f"asin(combined/distance) = {expected}"
-            )
+        object.__setattr__(
+            self, "half_angle", math.asin(self.combined_radius / self.truncation_distance)
+        )
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,6 @@ def collision_cone(agent_center, agent_radius: float, obstacle: SphereObstacle) 
     return CollisionCone(
         apex_velocity_offset=obstacle.velocity,
         axis=offset / d,
-        half_angle=math.asin(combined / d),
         truncation_distance=d,
         combined_radius=combined,
     )

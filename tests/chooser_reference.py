@@ -1,4 +1,4 @@
-"""Frozen numpy reference for the chooser's narrow phase.
+"""Frozen numpy reference for the chooser's narrow phase and search.
 
 A copy of ConeConstraints' sphere gathering (_touch_spheres) and cell
 rasterizer (_rasterize) as they ran on numpy arrays before the narrow
@@ -8,19 +8,24 @@ window and np.searchsorted for the window's index range. One thing
 differs from that code: spheres of radius 0 are kept, because a
 zero-thickness link in a chain with thick links is a virtual self-sphere
 all the same (the touch distance still carries the visiting link's
-thickness and the margin).
+thickness and the margin). The rasterizer scans no mirrored windows, so
+it stands for joints whose pitch limits stay within +-pi/2.
+
+Beside them, the nearest-safe search (_nearest_safe) as it ran before it
+moved to one grown box: the union box of the hit windows, then the
+regions of the limit rectangle outside that box by rectangle subtraction.
 
 ConeConstraints must give the same spheres (==, after the backward
-reflection), the same cell-test inputs (==) and the same hit windows
-(array_equal) on every visit.
+reflection), the same cell-test inputs (==), the same hit windows
+(array_equal) and the same pick (==) on every visit.
 """
 
 import math
 
 import numpy as np
 
-from vofabrik.chain import cross3
-from vofabrik.fabrik import Phase
+from vofabrik.fabrik import Phase, clamp_to_limits
+from vofabrik.planner import SafeSetEmpty
 
 
 def axis_grid(lo, hi, resolution):
@@ -166,7 +171,7 @@ class ReferenceNarrowPhase:
         length = float(self.model.lengths[joint])
         lip = float(self._lips[joint])
         f, u = frame.forward, frame.up
-        lat = cross3(u, f)
+        lat = np.array([u[1] * f[2] - u[2] * f[1], u[2] * f[0] - u[0] * f[2], u[0] * f[1] - u[1] * f[0]])
         hits = []
         for c, t_m in zip(centers, touch):
             rel = c - pivot
@@ -219,3 +224,80 @@ class ReferenceNarrowPhase:
                 if hit.any():
                     hits.append((i0, j0, hit))
         return hits
+
+    def nearest_safe(self, joint, limits, desired, hits):
+        """(pitch, yaw, outside): the desired angles clamped to the limits,
+        or the closest point outside all hits; outside tells whether a
+        region outside the union box of the hits gave the pick."""
+        (pe, _), (ye, _) = self.grids[joint]
+        i0 = min(h[0] for h in hits)
+        j0 = min(h[1] for h in hits)
+        i1 = max(h[0] + h[2].shape[0] for h in hits)
+        j1 = max(h[1] + h[2].shape[1] for h in hits)
+        forbidden = np.zeros((i1 - i0, j1 - j0), dtype=bool)
+        for hi, hj, hit in hits:
+            forbidden[hi - i0 : hi - i0 + hit.shape[0], hj - j0 : hj - j0 + hit.shape[1]] |= hit
+
+        p_clamp, y_clamp = clamp_to_limits(desired.pitch, desired.yaw, limits)
+        ci = cell_of(pe, p_clamp) - i0
+        cj = cell_of(ye, y_clamp) - j0
+        inside_box = 0 <= ci < forbidden.shape[0] and 0 <= cj < forbidden.shape[1]
+        if not inside_box or not forbidden[ci, cj]:
+            return p_clamp, y_clamp, False
+
+        # nearest among safe cells of the box, measured from the raw desired
+        cp = np.minimum(np.maximum(desired.pitch, pe[i0:i1]), pe[i0 + 1 : i1 + 1])
+        cy = np.minimum(np.maximum(desired.yaw, ye[j0:j1]), ye[j0 + 1 : j1 + 1])
+        d2 = (cp - desired.pitch)[:, None] ** 2 + (cy - desired.yaw)[None, :] ** 2
+        d2[forbidden] = np.inf
+        best = None
+        flat = int(np.argmin(d2))
+        if np.isfinite(d2.flat[flat]):
+            ii, jj = np.unravel_index(flat, d2.shape)
+            ties = np.argwhere(d2 == d2[ii, jj])
+            cands = sorted((cp[i], cy[j]) for i, j in ties)
+            best = (float(d2[ii, jj]), cands[0][0], cands[0][1])
+
+        # regions of the limit rectangle outside the union box
+        outside = False
+        box = (pe[i0], pe[i1], ye[j0], ye[j1])
+        for plo, phi, ylo, yhi in rect_difference(
+            [(limits.pitch_min, limits.pitch_max, limits.yaw_min, limits.yaw_max)],
+            box,
+        ):
+            p = min(max(desired.pitch, plo), phi)
+            y = min(max(desired.yaw, ylo), yhi)
+            key = ((p - desired.pitch) ** 2 + (y - desired.yaw) ** 2, p, y)
+            if best is None or key < best:
+                best, outside = key, True
+        if best is None:
+            raise SafeSetEmpty()
+        return best[1], best[2], outside
+
+
+def cell_of(edges, x):
+    """Index of the cell containing x, clamped into range."""
+    n = len(edges) - 1
+    if n == 1:
+        return 0
+    return min(max(int(np.searchsorted(edges, x, side="right")) - 1, 0), n - 1)
+
+
+def rect_difference(rects, cut):
+    """Subtract one rectangle from a list of rectangles."""
+    cplo, cphi, cylo, cyhi = cut
+    out = []
+    for plo, phi, ylo, yhi in rects:
+        if phi < cplo or plo > cphi or yhi < cylo or ylo > cyhi:
+            out.append((plo, phi, ylo, yhi))
+            continue
+        if plo < cplo:
+            out.append((plo, cplo, ylo, yhi))
+        if cphi < phi:
+            out.append((cphi, phi, ylo, yhi))
+        mp_lo, mp_hi = max(plo, cplo), min(phi, cphi)
+        if ylo < cylo:
+            out.append((mp_lo, mp_hi, ylo, cylo))
+        if cyhi < yhi:
+            out.append((mp_lo, mp_hi, cyhi, yhi))
+    return out

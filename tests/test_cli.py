@@ -56,6 +56,14 @@ class TestRun:
         assert code == 2
         assert "unknown field" in capsys.readouterr().err
 
+    def test_unknown_nested_set_key_exits_two(self, planar_2link, tmp_path, capsys):
+        # no config has this field: setting it must fail, not be ignored
+        code = main(
+            ["run", "--scenario", planar_2link, "--out-dir", str(tmp_path), "--set", "ik.limit_tolerance=1e-6"]
+        )
+        assert code == 2
+        assert "--set.ik.limit_tolerance: unknown field" in capsys.readouterr().err
+
     def test_malformed_set_pair_exits_two(self, planar_2link, tmp_path, capsys):
         code = main(
             ["run", "--scenario", planar_2link, "--out-dir", str(tmp_path), "--set", "max_steps"]

@@ -157,6 +157,15 @@ class TestLoadScenario:
         scenario = scenario_from_dict(toy_doc())
         assert np.array_equal(scenario.obstacles[0].velocity, np.zeros(3))
 
+    def test_moving_obstacle_rejected(self):
+        # the chooser, min_clearance and the validator hold obstacles fixed
+        doc = toy_doc()
+        doc["obstacles"].append({"center": [0.0, 0.2, 0.0], "radius": 0.02, "velocity": [0.0, 0.0, 0.0]})
+        assert len(scenario_from_dict(doc).obstacles) == 2
+        doc["obstacles"][1]["velocity"] = [0.0, -0.1, 0.0]
+        with pytest.raises(ValidationError, match=r"obstacles\[1\]\.velocity: obstacle 1 must be static"):
+            scenario_from_dict(doc)
+
 
 class TestConfigOverrides:
     def test_unknown_field(self):

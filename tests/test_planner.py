@@ -87,11 +87,11 @@ def two_link(limit=FREE):
     return model, state_from_angles(model, np.zeros((2, 2)))
 
 
-def folded_chain(thickness=0.01):
+def folded_chain(thickness=0.01, limit=FREE):
     """Six 0.1 m links folded back on themselves in the xy-plane: links 0-1
     run along +x to (0.2, 0), link 2 along +y, links 3-5 back along -x at
     y = 0.1, ending at (-0.1, 0.1)."""
-    model = make_chain(6, thickness=thickness, limit=FREE)
+    model = make_chain(6, thickness=thickness, limit=limit)
     angles = np.zeros((6, 2))
     angles[2, 1] = angles[3, 1] = math.pi / 2
     return model, state_from_angles(model, angles)
@@ -235,8 +235,7 @@ CHOOSER_CASES = {
         Phase.FORWARD, 0, (-0.8, 1.0), (math.pi - 1.0, math.pi + 0.8),
     ),
     # pitch reaches past pi/2, where the window's cosine turns negative and
-    # only the pole branch (every yaw) marks cells; a sphere on the pole
-    # looks the same from both sides, so truth needs no mirrored window
+    # only the pole branch (every yaw) marks cells
     "pole": (
         lambda: two_link(JointLimits(-math.pi / 2, 2.0, -math.pi, math.pi)),
         [sphere_toward(0.08, math.pi / 2, 0.0, 0.02)],
@@ -264,6 +263,16 @@ CHOOSER_CASES = {
     "self_thin_source": (
         lambda: folded_chain([0.0, 0.01, 0.01, 0.01, 0.01, 0.01]),
         [], Phase.BACKWARD, 4, (-0.3, 0.3), (-1.9, -1.2),
+    ),
+    # pitch limits past +-pi/2: (+-pi - pitch, yaw + pi) aims the link as
+    # (pitch, yaw) does, so pitch near +-pi collides where pitch near 0 does
+    "mirror_forward": (
+        lambda: folded_chain(limit=JointLimits.unlimited()),
+        [], Phase.FORWARD, 1, (2.6, math.pi), (-2.1, -1.0),
+    ),
+    "mirror_backward": (
+        lambda: folded_chain(limit=JointLimits.unlimited()),
+        [], Phase.BACKWARD, 4, (-math.pi, -2.6), (1.0, 2.1),
     ),
 }
 
@@ -451,7 +460,7 @@ class TestPlan:
         assert out.status is PlanStatus.GOAL_REACHED
         assert len(out.trajectory) == 2
         assert len(out.per_step_metrics) == 1
-        assert np.all(out.per_step_metrics[0].joint_displacements == 0.0)
+        assert np.array_equal(out.trajectory[0].angles, out.trajectory[1].angles)
         assert np.array_equal(out.trajectory[0].positions, out.trajectory[1].positions)
 
     def test_unreachable_goal_stalls(self):
@@ -504,7 +513,6 @@ class TestPlan:
             assert np.array_equal(sa.positions, sb.positions)
             assert np.array_equal(sa.angles, sb.angles)
         for ma, mb in zip(a.per_step_metrics, b.per_step_metrics):
-            assert np.array_equal(ma.joint_displacements, mb.joint_displacements)
             assert ma.min_clearance == mb.min_clearance
 
     def test_every_trajectory_state_is_consistent_and_within_limits(self):
@@ -670,9 +678,10 @@ class CheckedChooser(ConeConstraints):
     narrow phase gives the same spheres (==), the same inputs to each
     window's cell test (==, the trig tables against np.cos / np.sin of the
     window) and the same hit windows (array_equal) as the frozen numpy
-    reference in chooser_reference."""
+    reference in chooser_reference, and that its grown-box search gives
+    the same pick (==) as the reference's union box and outside regions."""
 
-    visits = rejected = rasterized = 0
+    visits = rejected = rasterized = outside = 0
     cell_tests = []
 
     @staticmethod
@@ -722,6 +731,18 @@ class CheckedChooser(ConeConstraints):
         type(self).rasterized += 1
         return hits
 
+    def _nearest_safe(self, joint, limits, desired, hits):
+        try:
+            *want, outside = self.reference.nearest_safe(joint, limits, desired, hits)
+        except SafeSetEmpty:
+            with pytest.raises(SafeSetEmpty):
+                super()._nearest_safe(joint, limits, desired, hits)
+            raise
+        got = super()._nearest_safe(joint, limits, desired, hits)
+        assert got == tuple(want), (joint, desired)
+        type(self).outside += outside
+        return got
+
 
 class TestBroadPhaseReject:
     """The chooser's plain-float narrow phase, which settles a visit with
@@ -732,7 +753,7 @@ class TestBroadPhaseReject:
         """Share of the plan's visits that kept no sphere."""
         monkeypatch.setattr(vofabrik.planner, "ConeConstraints", CheckedChooser)
         monkeypatch.setattr(vofabrik.planner, "_hit_cells", CheckedChooser.recording_hit_cells)
-        for counter in ("visits", "rejected", "rasterized"):
+        for counter in ("visits", "rejected", "rasterized", "outside"):
             monkeypatch.setattr(CheckedChooser, counter, 0)
         plan(model, state, goal, obstacles, cfg)
         assert CheckedChooser.visits > 0
@@ -745,6 +766,10 @@ class TestBroadPhaseReject:
         assert CheckedChooser.rasterized > 0
         if name == "cavity_19dof_extended":
             assert share > 0.5
+        if name == "planar_2link":
+            # the picks the reference found outside its union box, which
+            # the grown box must find in its ring of cells
+            assert CheckedChooser.outside > 0
 
     @pytest.mark.parametrize("thickness", [0.01, [0.0, 0.01, 0.01, 0.01, 0.01, 0.01]])
     def test_reject_is_conservative_on_folded_thick_chain(self, monkeypatch, thickness):

@@ -86,15 +86,16 @@ class TestCollisionCone:
         with pytest.raises(AlreadyInCollision):
             collision_cone(ORIGIN, 0.1, obs)
 
-    def test_inconsistent_half_angle_rejected(self):
-        with pytest.raises(ValueError, match="half_angle"):
-            CollisionCone(
-                apex_velocity_offset=np.zeros(3),
-                axis=np.array([1.0, 0.0, 0.0]),
-                half_angle=0.5,
-                truncation_distance=2.0,
-                combined_radius=0.4,
-            )
+    def test_half_angle_derived_from_distance_and_radius(self):
+        cone = CollisionCone(
+            apex_velocity_offset=np.zeros(3),
+            axis=np.array([1.0, 0.0, 0.0]),
+            truncation_distance=2.0,
+            combined_radius=0.4,
+        )
+        assert cone.half_angle == math.asin(0.2)
+        with pytest.raises(TypeError):
+            CollisionCone(np.zeros(3), np.array([1.0, 0.0, 0.0]), 2.0, 0.4, half_angle=0.5)
 
 
 class TestInCone:
