@@ -8,10 +8,13 @@ through an angle chooser, and the position is recomputed from the chosen
 angles — so joint limits hold after every half-iteration, not just at
 convergence.
 
-The chooser is the extension point the obstacle-aware planner hooks into:
-the default chooser clamps into the joint limits and nothing else. Both
-callers share every other instruction, which is what makes the planner
-with no active constraints reproduce this solver bit for bit.
+The chooser is the extension point the obstacle-aware planner hooks into.
+It is called once per sweep, with the positions the sweep enters with
+(backward: the tip already pinned to the target; forward: the base already
+re-anchored), and returns the function that picks each joint's angles in
+that sweep. The default chooser clamps into the joint limits and nothing
+else. Both callers share every other instruction, which is what makes the
+planner with no active constraints reproduce this solver bit for bit.
 
 Backward-phase clamping needs a parent frame before parents are updated;
 the frames captured from the entry state are used for the whole phase.
@@ -72,10 +75,11 @@ class SolveOutcome:
     residual: float
 
 
-# (phase, joint, desired, limits, frame, pivot, positions) -> (pitch, yaw)
+# chooser(phase, positions) starts one sweep from the positions it enters
+# with and returns choose(joint, desired, limits, frame, pivot) -> (pitch, yaw)
 AngleChooser = Callable[
-    [Phase, int, JointAngles, JointLimits, JointFrame, np.ndarray, np.ndarray],
-    "tuple[float, float]",
+    [Phase, np.ndarray],
+    Callable[[int, JointAngles, JointLimits, JointFrame, np.ndarray], "tuple[float, float]"],
 ]
 
 
@@ -87,8 +91,12 @@ def clamp_to_limits(pitch: float, yaw: float, limits: JointLimits):
     )
 
 
-def _default_chooser(phase, joint, desired, limits, frame, pivot, positions):
+def _clamp(joint, desired, limits, frame, pivot):
     return clamp_to_limits(desired.pitch, desired.yaw, limits)
+
+
+def _default_chooser(phase, positions):
+    return _clamp
 
 
 def _entry_directions(positions: np.ndarray) -> np.ndarray:
@@ -105,32 +113,30 @@ def _direction(p_from: np.ndarray, p_to: np.ndarray, fallback: np.ndarray) -> np
     return delta / n
 
 
-def _backward_phase(model, p, dirs_entry, frames, target, choose):
+def _backward_phase(model, p, dirs_entry, frames, target, chooser):
     p[-1] = target
+    choose = chooser(Phase.BACKWARD, p)
     for i in range(model.n_links - 1, -1, -1):
         d = _direction(p[i], p[i + 1], dirs_entry[i])
         desired = angles_from_direction(frames[i], d)
-        pitch, yaw = choose(
-            Phase.BACKWARD, i, desired, model.limits[i], frames[i], p[i + 1], p
-        )
+        pitch, yaw = choose(i, desired, model.limits[i], frames[i], p[i + 1])
         chosen_dir = advance_frame(frames[i], pitch, yaw)[0]
         p[i] = p[i + 1] - model.lengths[i] * chosen_dir
 
 
-def _forward_phase(model, p, dirs_entry, choose):
+def _forward_phase(model, p, dirs_entry, chooser):
     """Returns the chosen angles and every joint's parent frame, which are
     joint_frames of those angles."""
     angles = np.empty((model.n_links, 2))
     frames = []
     p[0] = model.base
+    choose = chooser(Phase.FORWARD, p)
     frame = model.base_frame()
     for i in range(model.n_links):
         frames.append(frame)
         d = _direction(p[i], p[i + 1], dirs_entry[i])
         desired = angles_from_direction(frame, d)
-        pitch, yaw = choose(
-            Phase.FORWARD, i, desired, model.limits[i], frame, p[i], p
-        )
+        pitch, yaw = choose(i, desired, model.limits[i], frame, p[i])
         chosen_dir, frame = advance_frame(frame, pitch, yaw)
         p[i + 1] = p[i] + model.lengths[i] * chosen_dir
         angles[i] = (pitch, yaw)
@@ -153,7 +159,7 @@ def solve(
     every full iteration — used by tests to watch per-iteration invariants.
     """
     cfg = cfg or FabrikConfig()
-    choose = choose_angles or _default_chooser
+    chooser = choose_angles or _default_chooser
     target = as_vec3(target)
 
     residual = float(np.linalg.norm(state.positions[-1] - target))
@@ -169,10 +175,10 @@ def solve(
     for iteration in range(1, budget + 1):
         p = current.positions.copy()
         dirs = _entry_directions(p)
-        _backward_phase(model, p, dirs, frames, target, choose)
+        _backward_phase(model, p, dirs, frames, target, chooser)
         backward_snapshot = p.copy() if on_iteration is not None else None
         dirs = _entry_directions(p)
-        angles, frames = _forward_phase(model, p, dirs, choose)
+        angles, frames = _forward_phase(model, p, dirs, chooser)
         current = ChainState(p, angles)
         residual = float(np.linalg.norm(p[-1] - target))
         if on_iteration is not None:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, is_dataclass, replace, fields as dataclass_fields
+from dataclasses import asdict, dataclass, is_dataclass, replace, fields as dataclass_fields
 from importlib import resources
 from pathlib import Path
 
@@ -515,15 +515,7 @@ class RunReport:
             raise ValueError("standard deviations cannot be negative")
 
     def to_dict(self):
-        return {
-            "status": self.status,
-            "joint_disp_mean": self.joint_disp_mean,
-            "joint_disp_std": self.joint_disp_std,
-            "time_per_step_mean": self.time_per_step_mean,
-            "time_per_step_std": self.time_per_step_std,
-            "min_clearance": self.min_clearance,
-            "step_count": self.step_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc) -> "RunReport":

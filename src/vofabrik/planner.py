@@ -86,20 +86,6 @@ class InitialStateInCollision(ValueError):
     """The starting configuration already violates clearance."""
 
 
-class SweepOrderError(RuntimeError):
-    """ConeConstraints was called at a later joint of a sweep that never
-    started at its first joint."""
-
-    def __init__(self, phase: Phase, joint: int, first: int):
-        self.joint = joint
-        self.phase = phase
-        super().__init__(
-            f"chooser called at joint {joint} of a {phase.value} sweep that was "
-            f"never started: each sweep must begin at joint {first}, where the "
-            "chooser caches the sweep's segment geometry"
-        )
-
-
 class PlanStatus(Enum):
     GOAL_REACHED = "GoalReached"
     STALLED = "Stalled"
@@ -232,22 +218,18 @@ class ConeConstraints:
     of an obstacle or a virtual self-sphere, and returns the desired angles
     clamped to the limits, or the nearest safe angles when those fall in a
     forbidden cell. plan and ik_phase build one per call; fabrik.solve
-    invokes it at every link visit with the sweep's working positions.
+    starts each sweep with the positions it enters with and visits every
+    link through the function that start returns. Nothing in the chooser
+    changes after it is built: a sweep's state lives in that function.
 
     Each visit first gathers the spheres within reach in one pass in plain
     Python floats (_touch_spheres), then rasterizes only those (_rasterize)
     from the joint's cached cosine and sine tables; its 3-vector dot
     products stay numpy, because np.vecdot rounds as np.dot and
     np.linalg.norm do (fused multiply-adds) and Python floats cannot.
-
-    Call order: each sweep must start at its first joint (backward: n - 1,
-    forward: 0), as fabrik.solve does, because that call caches the
-    sweep's segment geometry for the virtual self-spheres; a call at a
-    later joint of a sweep never started raises SweepOrderError.
     """
 
     def __init__(self, model: ChainModel, obstacles: Sequence[SphereObstacle], cfg: PlannerConfig):
-        self.model = model
         self.cfg = cfg
         res = cfg.angular_resolution
         self.grids = [
@@ -274,46 +256,39 @@ class ConeConstraints:
         for length, thick_k, lip in zip(self._lengths, self._thick, self._lips):
             bounds = [length + r + m + thick_k + lip for _, _, _, r in real]
             self._real.append([(x, y, z, r, b * b) for (x, y, z, r), b in zip(real, bounds)])
-        self._sweep = None
-        self._sweep_links = []
 
-    def __call__(self, phase, joint, desired, limits, frame, pivot, positions):
-        self._enter_sweep(phase, joint, positions)
-        spheres = self._touch_spheres(phase, joint, pivot)
-        hits = self._rasterize(joint, frame, pivot, spheres) if spheres else None
-        if not hits:
-            return clamp_to_limits(desired.pitch, desired.yaw, limits)
-        try:
-            return self._nearest_safe(joint, limits, desired, hits)
-        except SafeSetEmpty:
-            raise SafeSetEmpty(joint=joint, phase=phase) from None
-
-    def _enter_sweep(self, phase, joint, positions):
-        """At a sweep's first joint, cache its segment geometry; at a later
-        joint, require that this sweep was started.
+    def __call__(self, phase, positions):
+        """Start a sweep from the positions it enters with; returns the
+        sweep's choose(joint, desired, limits, frame, pivot).
 
         A sweep's virtual-sphere sources are its entry positions (the
         visited side is never read), so each link's start, direction,
         squared length and bounding ball (midpoint, half-length +
         thickness, loosened) hold for the whole sweep.
         """
-        first = self.model.n_links - 1 if phase is Phase.BACKWARD else 0
-        if joint != first:
-            if self._sweep is not phase:
-                raise SweepOrderError(phase, joint, first)
-            return
-        self._sweep = phase
+        links = []
         if self._has_virtual:
             p = positions.tolist()
-            self._sweep_links = []
             for (ax, ay, az), (bx, by, bz), thick in zip(p, p[1:], self._thick):
                 dx, dy, dz = bx - ax, by - ay, bz - az
                 len2 = (dx * dx + dz * dz) + dy * dy
                 half = _loosen(0.5 * math.sqrt(len2) + thick)
                 ball = (ax + 0.5 * dx, ay + 0.5 * dy, az + 0.5 * dz, half)
-                self._sweep_links.append((ax, ay, az, dx, dy, dz, len2, thick, *ball))
+                links.append((ax, ay, az, dx, dy, dz, len2, thick, *ball))
 
-    def _touch_spheres(self, phase, joint, pivot):
+        def choose(joint, desired, limits, frame, pivot):
+            spheres = self._touch_spheres(phase, joint, pivot, links)
+            hits = self._rasterize(joint, frame, pivot, spheres) if spheres else None
+            if not hits:
+                return clamp_to_limits(desired.pitch, desired.yaw, limits)
+            try:
+                return self._nearest_safe(joint, limits, desired, hits)
+            except SafeSetEmpty:
+                raise SafeSetEmpty(joint=joint, phase=phase) from None
+
+        return choose
+
+    def _touch_spheres(self, phase, joint, pivot, links):
         """The spheres that can touch the link, as a list of (x, y, z,
         touch): the link's center-line segment closer than `touch` to
         (x, y, z) collides. Backward centers come reflected through the
@@ -321,13 +296,14 @@ class ConeConstraints:
 
         One pass in plain floats over the real spheres and the virtual
         self-spheres at the closest points of the sweep's unplaced links
-        other than the neighbour. A sphere is kept when its center lies
-        within length + radius + margin + thickness + lip of the pivot;
-        the margin then shrinks where the pivot sits close, so the touch
-        sphere never swallows the pivot while true clearance is still
-        positive. Every 3-term dot product is summed as
-        (x0*y0 + x2*y2) + x1*y1, the order of numpy's einsum over rows of
-        three, so the spheres match a numpy evaluation bit for bit.
+        (`links`, built at the sweep's start) other than the neighbour. A
+        sphere is kept when its center lies within length + radius +
+        margin + thickness + lip of the pivot; the margin then shrinks
+        where the pivot sits close, so the touch sphere never swallows the
+        pivot while true clearance is still positive. Every 3-term dot
+        product is summed as (x0*y0 + x2*y2) + x1*y1, the order of numpy's
+        einsum over rows of three, so the spheres match a numpy evaluation
+        bit for bit.
         """
         px, py, pz = pivot.tolist()
         length, thick_k, lip = self._lengths[joint], self._thick[joint], self._lips[joint]
@@ -339,9 +315,9 @@ class ConeConstraints:
             if d2 <= bound2:
                 found.append((x, y, z, r, d2))
         if phase is Phase.BACKWARD:
-            links = self._sweep_links[: max(joint - 1, 0)]
+            links = links[: max(joint - 1, 0)]
         else:
-            links = self._sweep_links[joint + 2 :]
+            links = links[joint + 2 :]
         reach = self._reach[joint]
         for ax, ay, az, dx, dy, dz, len2, r, mx, my, mz, half in links:
             # bounding-ball pre-test: a virtual center lies within its
@@ -620,11 +596,12 @@ def plan(
 ) -> PlanOutcome:
     """Step the end effector to the goal, one VO-filtered IK solve per step.
 
-    solver="vofabrik" avoids the obstacles; solver="fabrik" is the
-    baseline that ignores them (obstacles still feed the clearance metric
-    and the initial-state check). Each step targets at most
-    v_pref_speed * t_s of end-effector motion along the admissible
-    velocity, never overshooting the goal.
+    Each step targets at most v_pref_speed * t_s of end-effector motion
+    along the admissible velocity, never overshooting the goal.
+    solver="vofabrik" avoids the obstacles. solver="fabrik" is the
+    baseline that ignores them: the same loop given no chooser and no
+    cones, so its velocity is the preferred one (obstacles still feed the
+    clearance metric and the initial-state check).
     """
     if solver not in ("vofabrik", "fabrik"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -639,7 +616,10 @@ def plan(
             f"initial clearance {clearance:.6g} m is not positive"
         )
 
-    chooser = ConeConstraints(model, obstacles, cfg) if solver == "vofabrik" else None
+    if solver == "vofabrik":
+        chooser, avoided = ConeConstraints(model, obstacles, cfg), obstacles
+    else:
+        chooser, avoided = None, []
     trajectory = [initial_state.copy()]
     metrics: list = []
     recent: list = []
@@ -652,15 +632,10 @@ def plan(
         try:
             if remaining <= cfg.goal_tolerance:
                 target = state.positions[-1]
-            elif solver == "vofabrik":
-                v = _end_effector_velocity(model, state, goal, obstacles, cfg, remaining)
+            else:
+                v = _end_effector_velocity(model, state, goal, avoided, cfg, remaining)
                 speed = float(np.linalg.norm(v))
                 target = state.positions[-1] + v * min(cfg.t_s, remaining / speed)
-            else:
-                v = (cfg.v_pref_speed / remaining) * (goal - state.positions[-1])
-                target = state.positions[-1] + v * min(
-                    cfg.t_s, remaining / cfg.v_pref_speed
-                )
             outcome = fabrik_solve(model, state, target, cfg.ik, choose_angles=chooser)
         except NoAdmissibleVelocity:
             status = PlanStatus.NO_ADMISSIBLE_VELOCITY

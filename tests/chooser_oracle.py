@@ -76,29 +76,16 @@ class ChooserCase:
         return gaps
 
     def choose(self, pitch, yaw):
-        """The chooser's (pitch, yaw) for each desired pair, after starting
-        the sweep at its first joint, as fabrik.solve does."""
-        n = self.model.n_links
-        first = n - 1 if self.phase is Phase.BACKWARD else 0
-        positions = self.state.positions
-        self.chooser(
-            self.phase,
-            first,
-            JointAngles(*self.state.angles[first]),
-            self.model.limits[first],
-            self.frames[first],
-            positions[n] if self.phase is Phase.BACKWARD else positions[0],
-            positions,
-        )
+        """The chooser's (pitch, yaw) for each desired pair, in a sweep
+        started on the state's positions."""
+        choose = self.chooser(self.phase, self.state.positions)
         picks = np.empty((len(pitch), 2))
         for k, (p, y) in enumerate(zip(pitch, yaw)):
-            picks[k] = self.chooser(
-                self.phase,
+            picks[k] = choose(
                 self.joint,
                 JointAngles(float(p), float(y)),
                 self.model.limits[self.joint],
                 self.frames[self.joint],
                 self.pivot,
-                positions,
             )
         return picks

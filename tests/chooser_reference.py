@@ -80,7 +80,7 @@ def hit_cells(pitch, yaw, proj, length, reach):
 
 class ReferenceNarrowPhase:
     """The numpy narrow phase of one chooser; enter_sweep must run at each
-    sweep's first joint, with the sweep's entry positions."""
+    sweep's start, with the sweep's entry positions."""
 
     def __init__(self, model, obstacles, cfg):
         self.model = model

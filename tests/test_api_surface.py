@@ -1,0 +1,55 @@
+"""The package's public surface: every name the benchmark scripts call is
+exported, and the quick demos run to completion."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vofabrik
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_names():
+    """Every vf.<name> the benchmark scripts use, dunders aside."""
+    names = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        names.update(re.findall(r"\bvf\.([A-Za-z]\w*)", path.read_text()))
+    return names
+
+
+def test_benchmark_names_are_exported():
+    names = benchmark_names()
+    assert {"plan", "solve", "ik_phase", "min_clearance"} <= names
+    assert sorted(names - set(vofabrik.__all__)) == []
+
+
+# 04 plans the full cavity scenario (about 10 s); the acceptance tests
+# cover that plan
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_chain_basics.py",
+        "02_reaching_with_fabrik.py",
+        "03_velocity_obstacles.py",
+        "05_custom_scenario.py",
+    ],
+)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # demo 05 writes its artifacts under a fresh temporary directory
+    env["TMPDIR"] = str(tmp_path)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vofabrik.chain import ChainModel, JointLimits, state_from_angles
-from vofabrik.fabrik import FabrikConfig, SolveStatus, solve
+from vofabrik.fabrik import FabrikConfig, Phase, SolveStatus, clamp_to_limits, solve
 
 UNLIMITED = JointLimits.unlimited()
 
@@ -166,6 +166,45 @@ class TestSolve:
                 assert limits.contains(*st_after.angles[j], tol=1e-9)
 
         solve(model, state, (0.5, 2.0, 1.0), on_iteration=watch)
+
+    def test_chooser_starts_each_sweep_from_its_entry_positions(self):
+        model = chain(4, limits=JointLimits.symmetric(0.6, 0.6))
+        state = state_from_angles(model, np.zeros((4, 2)))
+        target = np.array([0.5, 2.0, 1.0])
+        starts, visits, snapshots = [], [], []
+
+        def chooser(phase, positions):
+            starts.append((phase, positions.copy()))
+
+            def choose(joint, desired, limits, frame, pivot):
+                visits.append((phase, joint))
+                return clamp_to_limits(desired.pitch, desired.yaw, limits)
+
+            return choose
+
+        def watch(iteration, backward_positions, st_after):
+            snapshots.append((backward_positions, st_after.positions))
+
+        cfg = FabrikConfig(max_iterations=5)
+        out = solve(model, state, target, cfg, choose_angles=chooser, on_iteration=watch)
+        assert np.array_equal(out.state.positions, solve(model, state, target, cfg).state.positions)
+        assert out.iterations == len(snapshots) >= 2
+        # one start per phase per iteration, backward first
+        assert [phase for phase, _ in starts] == [Phase.BACKWARD, Phase.FORWARD] * out.iterations
+        entry = state.positions
+        for k, (backward, after) in enumerate(snapshots):
+            (_, b_start), (_, f_start) = starts[2 * k], starts[2 * k + 1]
+            # backward enters with the iteration's positions, tip on the target
+            assert np.array_equal(b_start[:-1], entry[:-1])
+            assert np.array_equal(b_start[-1], target)
+            # forward enters with the base re-anchored and the backward result
+            assert np.array_equal(f_start[0], model.base)
+            assert np.array_equal(f_start[1:], backward[1:])
+            entry = after
+        n = model.n_links
+        sweeps = [(Phase.BACKWARD, j) for j in range(n - 1, -1, -1)]
+        sweeps += [(Phase.FORWARD, j) for j in range(n)]
+        assert visits == sweeps * out.iterations
 
 
 def _unit(rng):

@@ -31,7 +31,6 @@ from vofabrik.planner import (
     PlannerConfig,
     PlanStatus,
     SafeSetEmpty,
-    SweepOrderError,
     ik_phase,
     min_clearance,
     plan,
@@ -98,7 +97,8 @@ def folded_chain(thickness=0.01, limit=FREE):
 
 
 def choose(model, obstacles, phase, joint, desired, state=None):
-    """One chooser visit at `joint`, the sweep started as fabrik.solve does."""
+    """One chooser visit at `joint`, in a sweep started on the state's
+    positions."""
     if state is None:
         state = state_from_angles(model, np.zeros((model.n_links, 2)))
     case = ChooserCase(model, state, obstacles, phase, joint, PlannerConfig())
@@ -213,6 +213,32 @@ class TestVirtualObstacles:
             assert (gap <= 0.0).sum() >= 50, (phase, joint)
             assert np.all(moved[gap <= 0.0]), (phase, joint)
             assert np.all(gap[moved] <= 1.5 * res * case.length), (phase, joint)
+
+    def test_sweeps_keep_their_own_links(self):
+        # a forward sweep started on another pose between a backward
+        # sweep's start and its visits leaves the backward picks alone
+        model, state = folded_chain()
+        angles = state.angles.copy()
+        angles[0, 1] = 0.3
+        turned = state_from_angles(model, angles)  # the same fold, turned about the base
+        chooser = ConeConstraints(model, [], PlannerConfig())
+        frames = joint_frames(model, state.angles)
+        p = state.positions
+        yaws = np.linspace(-math.pi, math.pi, 73).tolist()
+
+        def picks(choose):
+            return [
+                choose(k, JointAngles(0.0, y), model.limits[k], frames[k], p[k + 1])
+                for k in range(6)
+                for y in yaws
+            ]
+
+        alone = picks(chooser(Phase.BACKWARD, p))
+        backward = chooser(Phase.BACKWARD, p)
+        chooser(Phase.FORWARD, turned.positions)
+        assert picks(backward) == alone
+        # the turned pose's links would move some picks
+        assert picks(chooser(Phase.BACKWARD, turned.positions)) != alone
 
     def test_zero_thickness_links_make_no_spheres(self):
         model, state = folded_chain(thickness=0.0)
@@ -694,14 +720,14 @@ class CheckedChooser(ConeConstraints):
         super().__init__(model, obstacles, cfg)
         self.reference = ReferenceNarrowPhase(model, obstacles, cfg)
 
-    def __call__(self, phase, joint, desired, limits, frame, pivot, positions):
-        if joint == (self.model.n_links - 1 if phase is Phase.BACKWARD else 0):
-            self.reference.enter_sweep(positions)
+    def __call__(self, phase, positions):
+        self.reference.enter_sweep(positions)
+        # the sweep's working array: its unvisited rows stay the entry rows
         self.positions = positions
-        return super().__call__(phase, joint, desired, limits, frame, pivot, positions)
+        return super().__call__(phase, positions)
 
-    def _touch_spheres(self, phase, joint, pivot):
-        spheres = super()._touch_spheres(phase, joint, pivot)
+    def _touch_spheres(self, phase, joint, pivot, links):
+        spheres = super()._touch_spheres(phase, joint, pivot, links)
         centers, touch = self.reference.touch_spheres(phase, joint, self.positions, pivot)
         expected = []
         if centers is not None:
@@ -801,25 +827,3 @@ class TestBroadPhaseReject:
         goal = state.positions[-1] + rng.normal(scale=0.05, size=3)
         self.run_checked(monkeypatch, model, state, goal, obstacles, PlannerConfig(max_steps=4))
         assert CheckedChooser.rasterized > 0
-
-    def test_sweep_entered_midway_raises_typed_error(self):
-        model, state = folded_chain()
-        frames = joint_frames(model, state.angles)
-        chooser = ConeConstraints(model, [], PlannerConfig())
-        p = state.positions
-
-        def visit(phase, joint):
-            pivot = p[joint + 1] if phase is Phase.BACKWARD else p[joint]
-            return chooser(
-                phase, joint, JointAngles(*state.angles[joint]), model.limits[joint], frames[joint], pivot, p
-            )
-
-        with pytest.raises(SweepOrderError, match="must begin at joint 5"):
-            visit(Phase.BACKWARD, 4)
-        visit(Phase.BACKWARD, 5)
-        visit(Phase.BACKWARD, 4)
-        # a forward visit after a backward sweep needs its own start
-        with pytest.raises(SweepOrderError, match="must begin at joint 0"):
-            visit(Phase.FORWARD, 3)
-        visit(Phase.FORWARD, 0)
-        visit(Phase.FORWARD, 3)
