@@ -38,23 +38,24 @@ scenario = scenario_from_dict(doc)
 print(f"loaded '{scenario.name}': {len(scenario.chain.links)} links,",
       f"{len(scenario.obstacles)} obstacles")
 
-out_dir = Path(tempfile.mkdtemp(prefix="vofabrik_demo_"))
-record, report = run_and_report(scenario, solver="vofabrik", out_dir=out_dir)
-print(f"\nstatus {report.status} in {report.step_count} steps,",
-      f"min clearance {report.min_clearance:+.4f} m")
-print("wrote:", *sorted(p.name for p in out_dir.iterdir()))
+with tempfile.TemporaryDirectory(prefix="vofabrik_demo_") as tmp:
+    out_dir = Path(tmp)
+    record, report = run_and_report(scenario, solver="vofabrik", out_dir=out_dir)
+    print(f"\nstatus {report.status} in {report.step_count} steps,",
+          f"min clearance {report.min_clearance:+.4f} m")
+    print("wrote:", *sorted(p.name for p in out_dir.iterdir()))
 
-# the CSV is the full state history at 17 significant digits; reading it
-# back reproduces the run bit for bit
-csv_path = out_dir / "five_link_dodge_vofabrik_trajectory.csv"
-reloaded = TrajectoryRecord.read_csv(csv_path, scenario.name)
-assert np.array_equal(reloaded.angles, record.angles)
-assert np.array_equal(reloaded.end_effector, record.end_effector)
-print("\nCSV round-trip is exact:", reloaded.angles.shape, "angles recovered")
+    # the CSV is the full state history at 17 significant digits; reading it
+    # back reproduces the run bit for bit
+    csv_path = out_dir / "five_link_dodge_vofabrik_trajectory.csv"
+    reloaded = TrajectoryRecord.read_csv(csv_path, scenario.name)
+    assert np.array_equal(reloaded.angles, record.angles)
+    assert np.array_equal(reloaded.end_effector, record.end_effector)
+    print("\nCSV round-trip is exact:", reloaded.angles.shape, "angles recovered")
 
-print("\nfinal tip:", record.end_effector[-1], "goal:", scenario.goal)
-print("report JSON:")
-print(json.dumps(json.loads((out_dir / "five_link_dodge_vofabrik_report.json").read_text()), indent=2))
+    print("\nfinal tip:", record.end_effector[-1], "goal:", scenario.goal)
+    print("report JSON:")
+    print(json.dumps(json.loads((out_dir / "five_link_dodge_vofabrik_report.json").read_text()), indent=2))
 
 print(f"""
 same thing from the shell:

@@ -90,10 +90,11 @@ class JointLimits:
 
 
 class JointFrame(NamedTuple):
-    """Orthonormal (forward, up) pair defining a joint's parent frame."""
+    """Orthonormal (forward, up) pair defining a joint's parent frame, each
+    an (x, y, z) tuple of floats."""
 
-    forward: np.ndarray
-    up: np.ndarray
+    forward: tuple
+    up: tuple
 
 
 def advance_frame(frame: JointFrame, pitch: float, yaw: float):
@@ -102,8 +103,8 @@ def advance_frame(frame: JointFrame, pitch: float, yaw: float):
     Returns (link_direction, child_frame). The child frame's forward is the
     link direction; its up is the pitched copy of the parent up.
     """
-    fx, fy, fz = frame.forward.tolist()
-    ux, uy, uz = frame.up.tolist()
+    fx, fy, fz = frame.forward
+    ux, uy, uz = frame.up
     lx = uy * fz - uz * fy
     ly = uz * fx - ux * fz
     lz = ux * fy - uy * fx
@@ -112,20 +113,20 @@ def advance_frame(frame: JointFrame, pitch: float, yaw: float):
     f1y = cy * fy + sy * ly
     f1z = cy * fz + sy * lz
     cp, sp = math.cos(pitch), math.sin(pitch)
-    f2 = np.array([cp * f1x + sp * ux, cp * f1y + sp * uy, cp * f1z + sp * uz])
-    u2 = np.array([cp * ux - sp * f1x, cp * uy - sp * f1y, cp * uz - sp * f1z])
+    f2 = (cp * f1x + sp * ux, cp * f1y + sp * uy, cp * f1z + sp * uz)
+    u2 = (cp * ux - sp * f1x, cp * uy - sp * f1y, cp * uz - sp * f1z)
     return f2, JointFrame(f2, u2)
 
 
-def angles_from_direction(frame: JointFrame, direction: np.ndarray) -> JointAngles:
+def angles_from_direction(frame: JointFrame, direction) -> JointAngles:
     """Recover (pitch, yaw) of a unit link direction in the parent frame.
 
     yaw comes out in (-pi, pi], pitch in [-pi/2, pi/2]. The direction is
     assumed unit length; no singularity check happens here.
     """
-    fx, fy, fz = frame.forward.tolist()
-    ux, uy, uz = frame.up.tolist()
-    dx, dy, dz = direction.tolist()
+    fx, fy, fz = frame.forward
+    ux, uy, uz = frame.up
+    dx, dy, dz = direction
     lx = uy * fz - uz * fy
     ly = uz * fx - ux * fz
     lz = ux * fy - uy * fx
@@ -168,16 +169,20 @@ class ChainModel:
                 f"limits count {len(self.limits)} != link count {len(self.links)}"
             )
         for k, link in enumerate(self.links):
-            if not link.length > 0.0:
-                raise ValueError(f"link {k} length must be > 0, got {link.length}")
-            if link.thickness < 0.0:
-                raise ValueError(f"link {k} thickness must be >= 0, got {link.thickness}")
+            if not 0.0 < link.length < math.inf:
+                raise ValueError(f"link {k} length must be finite and > 0, got {link.length}")
+            if not 0.0 <= link.thickness < math.inf:
+                raise ValueError(f"link {k} thickness must be finite and >= 0, got {link.thickness}")
         n = float(np.linalg.norm(self.base_direction))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"base_direction must be unit length, norm is {n:.17g}")
         up = self.world_up / np.linalg.norm(self.world_up)
         if abs(float(np.dot(self.base_direction, up))) > 1.0 - 1e-9:
             raise ValueError("base_direction must not be collinear with world_up")
+        f = self.base_direction
+        u = up - float(np.dot(up, f)) * f
+        frame = JointFrame(tuple(f.tolist()), tuple((u / np.linalg.norm(u)).tolist()))
+        object.__setattr__(self, "_base_frame", frame)
 
         object.__setattr__(self, "lengths", np.array([l.length for l in self.links]))
         object.__setattr__(
@@ -193,10 +198,8 @@ class ChainModel:
         return float(np.sum(self.lengths))
 
     def base_frame(self) -> JointFrame:
-        f = self.base_direction
-        up = self.world_up / np.linalg.norm(self.world_up)
-        u = up - float(np.dot(up, f)) * f
-        return JointFrame(f, u / np.linalg.norm(u))
+        """Joint 0's parent frame, built once with the model."""
+        return self._base_frame
 
 
 @dataclass
@@ -263,13 +266,14 @@ def fk(model: ChainModel, angles, check_limits: bool = True) -> np.ndarray:
             if not (lim.yaw_min - _TOL <= yaw <= lim.yaw_max + _TOL):
                 raise AngleOutOfLimits(j, "yaw", yaw, lim.yaw_min, lim.yaw_max)
 
-    positions = np.empty((model.n_links + 1, 3))
-    positions[0] = model.base
+    x, y, z = model.base.tolist()
+    positions = [(x, y, z)]
     frame = model.base_frame()
-    for j in range(model.n_links):
-        d, frame = advance_frame(frame, a[j, 0], a[j, 1])
-        positions[j + 1] = positions[j] + model.lengths[j] * d
-    return positions
+    for (pitch, yaw), length in zip(a.tolist(), model.lengths.tolist()):
+        (dx, dy, dz), frame = advance_frame(frame, pitch, yaw)
+        x, y, z = x + length * dx, y + length * dy, z + length * dz
+        positions.append((x, y, z))
+    return np.array(positions)
 
 
 def state_from_angles(model: ChainModel, angles, check_limits: bool = True) -> ChainState:
@@ -293,7 +297,6 @@ def joint_frames(model: ChainModel, angles) -> list:
     """
     a = _as_angle_array(angles, model.n_links)
     frames = [model.base_frame()]
-    for j in range(model.n_links - 1):
-        _, nxt = advance_frame(frames[-1], a[j, 0], a[j, 1])
-        frames.append(nxt)
+    for pitch, yaw in a[:-1].tolist():
+        frames.append(advance_frame(frames[-1], pitch, yaw)[1])
     return frames

@@ -20,6 +20,11 @@ Backward-phase clamping needs a parent frame before parents are updated;
 the frames captured from the entry state are used for the whole phase.
 Those are the frames the previous forward phase built, so only the first
 iteration computes them from the state's angles.
+
+The sweep carries positions and frames as Python float tuples and builds
+the state's arrays once per iteration. Each link norm and the residual
+round as np.linalg.norm does, through geometry.fma, so the sweep is bit
+for bit the numpy sweep it replaced.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .chain import (
     angles_from_direction,
     joint_frames,
 )
-from .geometry import DEGENERACY_THRESHOLD, as_vec3
+from .geometry import DEGENERACY_THRESHOLD, FMA_RANGE, as_vec3, fma
 
 
 class Phase(Enum):
@@ -76,10 +81,11 @@ class SolveOutcome:
 
 
 # chooser(phase, positions) starts one sweep from the positions it enters
-# with and returns choose(joint, desired, limits, frame, pivot) -> (pitch, yaw)
+# with, a list of (x, y, z) tuples the sweep updates in place, and returns
+# choose(joint, desired, limits, frame, pivot) -> (pitch, yaw)
 AngleChooser = Callable[
-    [Phase, np.ndarray],
-    Callable[[int, JointAngles, JointLimits, JointFrame, np.ndarray], "tuple[float, float]"],
+    [Phase, list],
+    Callable[[int, JointAngles, JointLimits, JointFrame, tuple], "tuple[float, float]"],
 ]
 
 
@@ -104,42 +110,46 @@ def _entry_directions(positions: np.ndarray) -> np.ndarray:
     return diffs / np.linalg.norm(diffs, axis=1)[:, None]
 
 
-def _direction(p_from: np.ndarray, p_to: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Unit vector from p_from to p_to; entry link direction if coincident."""
-    delta = p_to - p_from
-    n = math.sqrt(float(delta @ delta))
+def _direction(p_from, p_to, entry, i):
+    """Unit vector from p_from to p_to. If they coincide, link i's
+    direction in the phase's entry rows, as numpy rows of them give it."""
+    dx, dy, dz = p_to[0] - p_from[0], p_to[1] - p_from[1], p_to[2] - p_from[2]
+    n = math.sqrt(fma(dz, dz, fma(dy, dy, dx * dx)))
     if n < DEGENERACY_THRESHOLD:
-        return fallback
-    return delta / n
+        return tuple(_entry_directions(np.array(entry))[i].tolist())
+    return dx / n, dy / n, dz / n
 
 
-def _backward_phase(model, p, dirs_entry, frames, target, chooser):
+def _backward_phase(model, p, frames, target, chooser):
+    entry = p[:]
     p[-1] = target
     choose = chooser(Phase.BACKWARD, p)
+    lengths = model.lengths.tolist()
     for i in range(model.n_links - 1, -1, -1):
-        d = _direction(p[i], p[i + 1], dirs_entry[i])
-        desired = angles_from_direction(frames[i], d)
-        pitch, yaw = choose(i, desired, model.limits[i], frames[i], p[i + 1])
-        chosen_dir = advance_frame(frames[i], pitch, yaw)[0]
-        p[i] = p[i + 1] - model.lengths[i] * chosen_dir
+        x, y, z = pivot = p[i + 1]
+        desired = angles_from_direction(frames[i], _direction(p[i], pivot, entry, i))
+        pitch, yaw = choose(i, desired, model.limits[i], frames[i], pivot)
+        (dx, dy, dz), _ = advance_frame(frames[i], pitch, yaw)
+        length = lengths[i]
+        p[i] = (x - length * dx, y - length * dy, z - length * dz)
 
 
-def _forward_phase(model, p, dirs_entry, chooser):
+def _forward_phase(model, p, chooser):
     """Returns the chosen angles and every joint's parent frame, which are
     joint_frames of those angles."""
-    angles = np.empty((model.n_links, 2))
-    frames = []
-    p[0] = model.base
+    angles, frames = [], []
+    entry = p[:]
+    p[0] = tuple(model.base.tolist())
     choose = chooser(Phase.FORWARD, p)
     frame = model.base_frame()
-    for i in range(model.n_links):
+    for i, length in enumerate(model.lengths.tolist()):
         frames.append(frame)
-        d = _direction(p[i], p[i + 1], dirs_entry[i])
-        desired = angles_from_direction(frame, d)
-        pitch, yaw = choose(i, desired, model.limits[i], frame, p[i])
-        chosen_dir, frame = advance_frame(frame, pitch, yaw)
-        p[i + 1] = p[i] + model.lengths[i] * chosen_dir
-        angles[i] = (pitch, yaw)
+        x, y, z = pivot = p[i]
+        desired = angles_from_direction(frame, _direction(pivot, p[i + 1], entry, i))
+        pitch, yaw = choose(i, desired, model.limits[i], frame, pivot)
+        (dx, dy, dz), frame = advance_frame(frame, pitch, yaw)
+        p[i + 1] = (x + length * dx, y + length * dy, z + length * dz)
+        angles.append((pitch, yaw))
     return angles, frames
 
 
@@ -161,6 +171,10 @@ def solve(
     cfg = cfg or FabrikConfig()
     chooser = choose_angles or _default_chooser
     target = as_vec3(target)
+    # fma is exact within FMA_RANGE; the sweep stays within reach of the base
+    extent = max(float(np.max(np.abs(target))), float(np.max(np.abs(model.base))) + model.total_length)
+    if not extent <= FMA_RANGE:
+        raise ValueError(f"target and chain coordinates must lie within +-{FMA_RANGE:g}, got {extent:g}")
 
     residual = float(np.linalg.norm(state.positions[-1] - target))
     if residual < cfg.epsilon:
@@ -169,18 +183,18 @@ def solve(
     reachable = float(np.linalg.norm(target - model.base)) <= model.total_length
     budget = cfg.max_iterations if reachable else 1
 
-    current = state
+    tx, ty, tz = target = tuple(target.tolist())
+    p = list(map(tuple, state.positions.tolist()))
     # later iterations reuse the frames the previous forward phase built
-    frames = joint_frames(model, current.angles)
+    frames = joint_frames(model, state.angles)
     for iteration in range(1, budget + 1):
-        p = current.positions.copy()
-        dirs = _entry_directions(p)
-        _backward_phase(model, p, dirs, frames, target, chooser)
-        backward_snapshot = p.copy() if on_iteration is not None else None
-        dirs = _entry_directions(p)
-        angles, frames = _forward_phase(model, p, dirs, chooser)
-        current = ChainState(p, angles)
-        residual = float(np.linalg.norm(p[-1] - target))
+        _backward_phase(model, p, frames, target, chooser)
+        backward_snapshot = np.array(p) if on_iteration is not None else None
+        angles, frames = _forward_phase(model, p, chooser)
+        current = ChainState(np.array(p), np.array(angles))
+        x, y, z = p[-1]
+        dx, dy, dz = x - tx, y - ty, z - tz
+        residual = math.sqrt(fma(dz, dz, fma(dy, dy, dx * dx)))
         if on_iteration is not None:
             on_iteration(iteration, backward_snapshot, current)
         if reachable and residual < cfg.epsilon:

@@ -11,12 +11,33 @@ solvers downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Segments shorter than this have no usable direction.
 DEGENERACY_THRESHOLD = 1e-12
+
+# Largest coordinate magnitude fma serves exactly (squares overflow past 1e154)
+FMA_RANGE = 1e150
+
+
+def fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add, in Python floats.
+
+    numpy rounds a 3-term dot x . y as fma(x2, y2, fma(x1, y1, x0 * y0)).
+    Dekker's TwoProduct (Veltkamp's split by 2**27 + 1) gives a * b = p + e
+    exactly, and math.fsum rounds p + e + c once (Ogita, Rump & Oishi
+    2005). Exact for operands from 1e-140 to FMA_RANGE in magnitude.
+    """
+    p = a * b
+    t = 134217729.0 * a
+    ah = t - (t - a)
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, c))
 
 
 class DegenerateSegment(ValueError):

@@ -217,6 +217,8 @@ def scenario_from_dict(doc, where="scenario") -> Scenario:
     )
 
     goal = _vec3(_require(doc, "goal", where), f"{where}.goal")
+    if not np.isfinite(goal).all():
+        raise ValidationError(f"{where}.goal: must be finite, got {goal.tolist()}")
     obstacles = _parse_obstacles(_require(doc, "obstacles", where), f"{where}.obstacles")
     planner = config_with_overrides(PlannerConfig(), doc.get("planner", {}), f"{where}.planner")
 

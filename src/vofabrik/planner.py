@@ -27,13 +27,13 @@ limit clamp the plain solver uses, so with no obstacles in range the
 planner reproduces plain FABRIK bit for bit.
 
 Each visit first gathers the spheres within reach in one pass in plain
-Python floats; most visits keep none and end as a limit clamp before any
-array is built. Its dot products are summed in the order numpy's einsum
-sums a row of three, so the spheres are bit-equal to a numpy evaluation.
-The rasterizer slices each joint's cell-center cosine and sine tables,
-built once per (limits, resolution) and shared read-only by every
-chooser, and keeps its 3-vector dot products in numpy (np.vecdot): numpy
-rounds them with fused multiply-adds, which Python floats cannot repeat.
+Python floats, reading the sweep's float tuples; most visits keep none
+and end as a limit clamp before any array is built. Its dot products are
+summed in the order numpy's einsum sums a row of three, so the spheres
+are bit-equal to a numpy evaluation. The rasterizer slices each joint's
+cell-center cosine and sine tables, built once per (limits, resolution)
+and shared read-only by every chooser, and rounds each sphere's 3-vector
+dot products with geometry.fma, as numpy's fused dot products do.
 
 min_clearance evaluates all link-obstacle pairs in one batch and all
 non-adjacent link pairs in one segment-segment kernel that repeats the
@@ -62,7 +62,7 @@ from .fabrik import (
     clamp_to_limits,
     solve as fabrik_solve,
 )
-from .geometry import DEGENERACY_THRESHOLD, DegenerateSegment, as_vec3
+from .geometry import DEGENERACY_THRESHOLD, DegenerateSegment, as_vec3, fma
 from .velocity_obstacles import (
     NoAdmissibleVelocity,
     SphereObstacle,
@@ -118,14 +118,12 @@ class PlannerConfig:
             "stall_displacement",
             "angular_resolution",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.stall_window < 1:
             raise ValueError(f"stall_window must be >= 1, got {self.stall_window}")
-        if self.clearance_margin < 0:
-            raise ValueError(
-                f"clearance_margin must be >= 0, got {self.clearance_margin}"
-            )
+        if not 0 <= self.clearance_margin < math.inf:
+            raise ValueError(f"clearance_margin must be finite and >= 0, got {self.clearance_margin}")
 
 
 @dataclass
@@ -224,9 +222,9 @@ class ConeConstraints:
 
     Each visit first gathers the spheres within reach in one pass in plain
     Python floats (_touch_spheres), then rasterizes only those (_rasterize)
-    from the joint's cached cosine and sine tables; its 3-vector dot
-    products stay numpy, because np.vecdot rounds as np.dot and
-    np.linalg.norm do (fused multiply-adds) and Python floats cannot.
+    from the joint's cached cosine and sine tables. Positions, the pivot
+    and the frame arrive as the sweep's float tuples; every 3-vector dot
+    product is rounded with geometry.fma, as np.dot does.
     """
 
     def __init__(self, model: ChainModel, obstacles: Sequence[SphereObstacle], cfg: PlannerConfig):
@@ -268,8 +266,7 @@ class ConeConstraints:
         """
         links = []
         if self._has_virtual:
-            p = positions.tolist()
-            for (ax, ay, az), (bx, by, bz), thick in zip(p, p[1:], self._thick):
+            for (ax, ay, az), (bx, by, bz), thick in zip(positions, positions[1:], self._thick):
                 dx, dy, dz = bx - ax, by - ay, bz - az
                 len2 = (dx * dx + dz * dz) + dy * dy
                 half = _loosen(0.5 * math.sqrt(len2) + thick)
@@ -305,7 +302,7 @@ class ConeConstraints:
         einsum over rows of three, so the spheres match a numpy evaluation
         bit for bit.
         """
-        px, py, pz = pivot.tolist()
+        px, py, pz = pivot
         length, thick_k, lip = self._lengths[joint], self._thick[joint], self._lips[joint]
         m = self.cfg.clearance_margin
         found = []
@@ -346,17 +343,15 @@ class ConeConstraints:
         """Forbidden cells per sphere: list of (i0, j0, hit bool array)."""
         (_, pedges, pcos, psin), (_, yedges, ycos, ysin) = self.grids[joint]
         length, lip = self._lengths[joint], self._lips[joint]
-        fx, fy, fz = frame.forward.tolist()
-        ux, uy, uz = frame.up.tolist()
+        fx, fy, fz = frame.forward
+        ux, uy, uz = frame.up
         # forward, lateral (up x forward), up
-        triad = np.array(
-            [[fx, fy, fz], [uy * fz - uz * fy, uz * fx - ux * fz, ux * fy - uy * fx], [ux, uy, uz]]
-        )
-        px, py, pz = pivot.tolist()
+        triad = ((fx, fy, fz), (uy * fz - uz * fy, uz * fx - ux * fz, ux * fy - uy * fx), (ux, uy, uz))
+        px, py, pz = pivot
         hits = []
         for x, y, z, touch in spheres:
-            rel = np.array([x - px, y - py, z - pz])
-            rr = float(np.vecdot(rel, rel))
+            rx, ry, rz = x - px, y - py, z - pz
+            rr = fma(rz, rz, fma(ry, ry, rx * rx))
             dist = math.sqrt(rr)
             reach = touch + lip
             if dist > length + reach:
@@ -379,9 +374,9 @@ class ConeConstraints:
                     )
                 )
             # rel and its unit axis on the triad
-            (rf, rl, ru), (af, al, au) = np.vecdot(
-                np.array([rel, rel / dist])[:, None, :], triad
-            ).tolist()
+            ax, ay, az = rx / dist, ry / dist, rz / dist
+            rf, rl, ru = (fma(rz, tz, fma(ry, ty, rx * tx)) for tx, ty, tz in triad)
+            af, al, au = (fma(az, tz, fma(ay, ty, ax * tx)) for tx, ty, tz in triad)
             pitch_c = math.asin(min(max(au, -1.0), 1.0))
             yaw_c = math.atan2(al, af)
             centers = [(pitch_c, yaw_c, 1.0)]

@@ -42,8 +42,10 @@ def test_benchmark_names_are_exported():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # demo 05 writes its artifacts under a fresh temporary directory
-    env["TMPDIR"] = str(tmp_path)
+    # demo 05 writes its artifacts under a temporary directory it removes
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env["TMPDIR"] = str(tmp)
     done = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path,
@@ -53,3 +55,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert sorted(tmp.iterdir()) == []

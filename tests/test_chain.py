@@ -127,7 +127,7 @@ class TestForwardKinematics:
         )
         p = fk(model, angles)
         pos = np.array(model.base)
-        f, u = model.base_frame()
+        f, u = map(np.asarray, model.base_frame())
         for j in range(5):
             d, u = oracle_advance((f, u), angles[j, 0], angles[j, 1])
             f = d

@@ -14,8 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fabrik_reference
+import vofabrik.fabrik
 from vofabrik.chain import ChainModel, JointLimits, state_from_angles
 from vofabrik.fabrik import FabrikConfig, Phase, SolveStatus, clamp_to_limits, solve
+from vofabrik.planner import ConeConstraints, PlannerConfig, SafeSetEmpty
+from vofabrik.velocity_obstacles import SphereObstacle
 
 UNLIMITED = JointLimits.unlimited()
 
@@ -210,3 +214,89 @@ class TestSolve:
 def _unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def random_case(seed):
+    """A seeded chain of 2-19 links in a random in-limit pose, and a target:
+    one in reach, one out of reach (INFEASIBLE), or, on every fourth seed,
+    joint n-1 itself, which makes the backward phase's last link degenerate
+    so it falls back on the link's entry direction."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 20))
+    limits = [
+        JointLimits.symmetric(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, math.pi)))
+        for _ in range(n)
+    ]
+    lengths = rng.uniform(0.05, 0.2, n)
+    thickness = rng.uniform(0.0, 0.01, n) * (rng.uniform(size=n) < 0.8)
+    model = ChainModel(
+        base=rng.normal(size=3),
+        base_direction=_unit(rng),
+        links=list(zip(lengths.tolist(), thickness.tolist())),
+        limits=limits,
+    )
+    angles = [rng.uniform((l.pitch_min, l.yaw_min), (l.pitch_max, l.yaw_max)) for l in limits]
+    state = state_from_angles(model, 0.8 * np.array(angles))
+    if seed % 4 == 3:
+        target = state.positions[-2]
+    elif seed % 4 == 1:
+        target = model.base + 1.5 * model.total_length * _unit(rng)
+    else:
+        target = model.base + rng.uniform(0.2, 0.9) * model.total_length * _unit(rng)
+    obstacles = [
+        SphereObstacle(state.positions[int(rng.integers(1, n + 1))] + rng.normal(scale=0.15, size=3), 0.03)
+        for _ in range(3)
+    ]
+    return model, state, target, obstacles
+
+
+def solve_or_blocked(solver, *args):
+    try:
+        return solver(*args)
+    except SafeSetEmpty as e:
+        return e.joint, e.phase
+
+
+class TestFrozenReference:
+    """solve against the frozen numpy sweep in fabrik_reference."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_solve_matches_numpy_sweep_on_random_chains(self, monkeypatch, constrained):
+        fallbacks = []
+        entry_directions = vofabrik.fabrik._entry_directions
+        monkeypatch.setattr(
+            vofabrik.fabrik, "_entry_directions", lambda p: fallbacks.append(1) or entry_directions(p)
+        )
+        cfg = FabrikConfig(max_iterations=30)
+        statuses = set()
+        for seed in range(40):
+            model, state, target, obstacles = random_case(seed)
+            chooser = ConeConstraints(model, obstacles, PlannerConfig()) if constrained else None
+            got = solve_or_blocked(solve, model, state, target, cfg, chooser)
+            want = solve_or_blocked(fabrik_reference.solve, model, state, target, cfg, chooser)
+            if isinstance(want, tuple):
+                assert got == want, seed
+                continue
+            assert got.status == want.status and got.iterations == want.iterations, seed
+            assert got.residual == want.residual, seed
+            assert np.array_equal(got.state.positions, want.state.positions), seed
+            assert np.array_equal(got.state.angles, want.state.angles), seed
+            statuses.add(got.status)
+        assert SolveStatus.INFEASIBLE in statuses and SolveStatus.MAX_ITERATIONS in statuses
+        # every target on joint n-1 drove the fallback once
+        assert len(fallbacks) >= 10
+
+    @pytest.mark.parametrize("scale", [1e154, 1e300])
+    def test_coordinates_beyond_fma_range_rejected(self, scale):
+        model = chain(3)
+        state = state_from_angles(model, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="must lie within"):
+            solve(model, state, (scale, 0.0, 0.0))
+        far = ChainModel(
+            base=(0.0, scale, 0.0), base_direction=(1.0, 0.0, 0.0), links=[(1.0, 0.0)] * 3, limits=[UNLIMITED] * 3
+        )
+        with pytest.raises(ValueError, match="must lie within"):
+            solve(far, state_from_angles(far, np.zeros((3, 2))), (1.0, scale, 0.0))
+        long = chain(3, length=scale / 2)
+        with pytest.raises(ValueError, match="must lie within"):
+            solve(long, state_from_angles(long, np.zeros((3, 2))), (1.0, 1.0, 0.0))

@@ -167,6 +167,29 @@ class TestLoadScenario:
             scenario_from_dict(doc)
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field, error",
+        [
+            ("planner.clearance_margin", ParseError),
+            ("planner.angular_resolution", ParseError),
+            ("chain.links.length", ValidationError),
+            ("chain.links.thickness", ValidationError),
+            ("goal", ValidationError),
+        ],
+    )
+    def test_non_finite_number_rejected_at_load(self, field, error, value):
+        doc = toy_doc()
+        if field == "goal":
+            doc["goal"][1] = value
+        elif field.startswith("planner."):
+            doc["planner"][field.split(".")[1]] = value
+        else:
+            doc["chain"]["links"][1] = dict(doc["chain"]["links"][1], **{field.split(".")[2]: value})
+        with pytest.raises(error):
+            scenario_from_dict(doc)
+
+
 class TestConfigOverrides:
     def test_unknown_field(self):
         with pytest.raises(ParseError, match="planner.speed: unknown field"):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import vofabrik.geometry
 import vofabrik.planner
 from chooser_oracle import ChooserCase
 from chooser_reference import ReferenceNarrowPhase
@@ -644,9 +645,10 @@ def fma(x, y, z):
 
 
 class TestFloatFacts:
-    """The rounding facts that keep the chooser's narrow phase bit-equal to
-    its numpy reference. A numpy build that breaks one fails here first,
-    with the reason, before the golden digests move."""
+    """The rounding facts that keep the float sweep and the chooser's
+    narrow phase bit-equal to their numpy references. A numpy build that
+    breaks one fails here first, with the reason, before the golden digests
+    move."""
 
     def test_einsum_rows_of_three_sum_middle_term_last(self):
         rng = np.random.default_rng(11)
@@ -675,15 +677,30 @@ class TestFloatFacts:
                 float(np.vecdot(np.array([x, x]), y)[1]),
             )
             assert got == (want,) * 5, (
-                "np.dot, @ and np.vecdot must all compute fma(x2,y2, fma(x1,y1, x0*y0)): "
-                "ConeConstraints._rasterize uses np.vecdot where its numpy reference "
-                "uses np.dot and np.linalg.norm"
+                "np.dot, @ and np.vecdot must all compute fma(x2,y2, fma(x1,y1, x0*y0)), "
+                "the rounding geometry.fma repeats for the sweep and the rasterizer"
             )
             assert float(np.linalg.norm(x)) == math.sqrt(fma(x2, x2, fma(x1, x1, x0 * x0)))
             plain += want != (x0 * y0 + x1 * y1) + x2 * y2
             samples += 1
-        # why those products stay numpy: plain floats round differently
+        # why the float code needs geometry.fma: unfused floats round differently
         assert 0 < plain < samples
+
+    def test_fused_helper_is_exact_from_1e_minus_140_to_1e150(self):
+        # the range geometry.fma serves exactly, up to FMA_RANGE
+        assert vofabrik.geometry.FMA_RANGE == 1e150
+        rng = np.random.default_rng(14)
+        for scale in [10.0**e for e in range(-140, 151, 10)]:
+            for _ in range(50):
+                a, b, c = (rng.normal(size=3) * scale).tolist()
+                assert vofabrik.geometry.fma(a, b, c) == fma(a, b, c)
+                assert vofabrik.geometry.fma(a, b, c * 1e-12) == fma(a, b, c * 1e-12)
+                x, y = rng.normal(size=(2, 3)) * scale
+                (x0, x1, x2), (y0, y1, y2) = x.tolist(), y.tolist()
+                dot = vofabrik.geometry.fma(x2, y2, vofabrik.geometry.fma(x1, y1, x0 * y0))
+                assert dot == fma(x2, y2, fma(x1, y1, x0 * y0)) == float(x @ y), scale
+                norm2 = vofabrik.geometry.fma(x2, x2, vofabrik.geometry.fma(x1, x1, x0 * x0))
+                assert math.sqrt(norm2) == float(np.linalg.norm(x)), scale
 
     def test_grid_trig_tables_equal_trig_of_each_window(self):
         res = PlannerConfig().angular_resolution
@@ -728,7 +745,8 @@ class CheckedChooser(ConeConstraints):
 
     def _touch_spheres(self, phase, joint, pivot, links):
         spheres = super()._touch_spheres(phase, joint, pivot, links)
-        centers, touch = self.reference.touch_spheres(phase, joint, self.positions, pivot)
+        pivot = np.asarray(pivot)
+        centers, touch = self.reference.touch_spheres(phase, joint, np.asarray(self.positions), pivot)
         expected = []
         if centers is not None:
             if phase is Phase.BACKWARD:
@@ -745,7 +763,7 @@ class CheckedChooser(ConeConstraints):
         centers = np.array([s[:3] for s in spheres])
         touch = np.array([s[3] for s in spheres])
         want_tests = []
-        expected = self.reference.rasterize(joint, frame, pivot, centers, touch, want_tests)
+        expected = self.reference.rasterize(joint, frame, np.asarray(pivot), centers, touch, want_tests)
         assert len(CheckedChooser.cell_tests) == len(want_tests), joint
         for (cp, sp, cy, sy, *rest), (pitch, yaw, *want_rest) in zip(CheckedChooser.cell_tests, want_tests):
             assert rest == want_rest, joint
