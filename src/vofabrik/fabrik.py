@@ -112,7 +112,7 @@ def _entry_directions(positions: np.ndarray) -> np.ndarray:
 
 def _direction(p_from, p_to, entry, i):
     """Unit vector from p_from to p_to. If they coincide, link i's
-    direction in the phase's entry rows, as numpy rows of them give it."""
+    direction in the phase's entry rows, from _entry_directions."""
     dx, dy, dz = p_to[0] - p_from[0], p_to[1] - p_from[1], p_to[2] - p_from[2]
     n = math.sqrt(fma(dz, dz, fma(dy, dy, dx * dx)))
     if n < DEGENERACY_THRESHOLD:
