@@ -276,10 +276,10 @@ def fk(model: ChainModel, angles, check_limits: bool = True) -> np.ndarray:
     return np.array(positions)
 
 
-def state_from_angles(model: ChainModel, angles, check_limits: bool = True) -> ChainState:
-    """Build a consistent ChainState from joint angles."""
+def state_from_angles(model: ChainModel, angles) -> ChainState:
+    """Build a consistent ChainState from joint angles within the limits."""
     a = _as_angle_array(angles, model.n_links)
-    return ChainState(fk(model, a, check_limits=check_limits), a.copy())
+    return ChainState(fk(model, a), a.copy())
 
 
 def link_capsules(model: ChainModel, state: ChainState) -> list:

@@ -224,6 +224,7 @@ def scenario_from_dict(doc, where="scenario") -> Scenario:
 
     try:
         state = state_from_angles(model, initial)
+        state.validate(model)
     except ValueError as e:
         raise ValidationError(f"initial_angles: {e}") from e
     clearance = min_clearance(model, state.positions, obstacles)

@@ -36,15 +36,18 @@ and shared read-only by every chooser, and rounds each sphere's 3-vector
 dot products with geometry.fma, as numpy's fused dot products do.
 
 min_clearance evaluates all link-obstacle pairs in one batch and all
-non-adjacent link pairs in one segment-segment kernel that repeats the
-scalar geometry path operation for operation, so its result is bit-equal
-to it. The validator in harness alone keeps the scalar geometry path, as
-an independent audit.
+non-adjacent link pairs in one segment-segment kernel that repeats
+geometry.segment_segment_distance operation for operation, so the link
+pairs are bit-equal to it. The obstacle rows are not bit-equal to
+geometry.capsule_sphere_distance; they agree with it to rounding. The
+validator in harness alone keeps the scalar geometry path, as an
+independent audit.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 import time
@@ -70,6 +73,11 @@ from .velocity_obstacles import (
     admissible_velocity,
     collision_cone,
 )
+
+# a plan stalls when the tip moved less than _STALL_DISPLACEMENT (m) on each
+# of the last _STALL_WINDOW steps
+_STALL_WINDOW = 10
+_STALL_DISPLACEMENT = 1e-4
 
 
 class SafeSetEmpty(RuntimeError):
@@ -102,8 +110,6 @@ class PlannerConfig:
     v_pref_speed: float = 0.1
     goal_tolerance: float = 5e-3
     max_steps: int = 300
-    stall_window: int = 10
-    stall_displacement: float = 1e-4
     angular_resolution: float = math.radians(0.5)
     clearance_margin: float = 5e-3
     ik: FabrikConfig = field(default_factory=FabrikConfig)
@@ -115,13 +121,10 @@ class PlannerConfig:
             "v_pref_speed",
             "goal_tolerance",
             "max_steps",
-            "stall_displacement",
             "angular_resolution",
         ):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.stall_window < 1:
-            raise ValueError(f"stall_window must be >= 1, got {self.stall_window}")
         if not 0 <= self.clearance_margin < math.inf:
             raise ValueError(f"clearance_margin must be finite and >= 0, got {self.clearance_margin}")
 
@@ -413,34 +416,31 @@ class ConeConstraints:
         """Desired angles clamped to the limits, or the closest point of a
         safe cell to the raw desired angles.
 
-        Works on a boolean mask over the union bounding box of the hit
-        windows; every cell outside that box is safe. The search runs only
-        when the clamped angles fall in a forbidden cell, so inside the box:
-        the nearest point of the rest of the limit rectangle then lies on
-        the box's edge, within its span, and the ring of cells one wider on
-        each side holds it. Ties break on (pitch, yaw).
+        The clamped angles' cell is tested against each hit window, and
+        most visits end there. Otherwise the search runs on a boolean mask
+        over the union bounding box of the windows grown by one cell on
+        each side: every cell outside the union box is safe, so the nearest
+        point of the rest of the limit rectangle lies on the box's edge,
+        within its span, and that ring of cells holds it. Ties break on
+        (pitch, yaw).
         """
         (pe, pedges, _, _), (ye, yedges, _, _) = self.grids[joint]
-        i0 = min(h[0] for h in hits)
-        j0 = min(h[1] for h in hits)
-        i1 = max(h[0] + h[2].shape[0] for h in hits)
-        j1 = max(h[1] + h[2].shape[1] for h in hits)
-        forbidden = np.zeros((i1 - i0, j1 - j0), dtype=bool)
-        for hi, hj, hit in hits:
-            forbidden[hi - i0 : hi - i0 + hit.shape[0], hj - j0 : hj - j0 + hit.shape[1]] |= hit
-
         p_clamp, y_clamp = clamp_to_limits(desired.pitch, desired.yaw, limits)
-        ci = _cell_of(pedges, p_clamp) - i0
-        cj = _cell_of(yedges, y_clamp) - j0
-        inside_box = 0 <= ci < forbidden.shape[0] and 0 <= cj < forbidden.shape[1]
-        if not inside_box or not forbidden[ci, cj]:
+        ci, cj = _cell_of(pedges, p_clamp), _cell_of(yedges, y_clamp)
+        if not any(
+            0 <= ci - hi < hit.shape[0] and 0 <= cj - hj < hit.shape[1] and hit[ci - hi, cj - hj]
+            for hi, hj, hit in hits
+        ):
             return p_clamp, y_clamp
 
-        # the box grown by one cell on each side, clipped to the grid
-        g0, h0 = max(i0 - 1, 0), max(j0 - 1, 0)
-        g1, h1 = min(i1 + 1, len(pe) - 1), min(j1 + 1, len(ye) - 1)
+        # the union box grown by one cell on each side, clipped to the grid
+        g0 = max(min(h[0] for h in hits) - 1, 0)
+        h0 = max(min(h[1] for h in hits) - 1, 0)
+        g1 = min(max(h[0] + h[2].shape[0] for h in hits) + 1, len(pe) - 1)
+        h1 = min(max(h[1] + h[2].shape[1] for h in hits) + 1, len(ye) - 1)
         grown = np.zeros((g1 - g0, h1 - h0), dtype=bool)
-        grown[i0 - g0 : i1 - g0, j0 - h0 : j1 - h0] = forbidden
+        for hi, hj, hit in hits:
+            grown[hi - g0 : hi - g0 + hit.shape[0], hj - h0 : hj - h0 + hit.shape[1]] |= hit
         cp = np.minimum(np.maximum(desired.pitch, pe[g0:g1]), pe[g0 + 1 : g1 + 1])
         cy = np.minimum(np.maximum(desired.yaw, ye[h0:h1]), ye[h0 + 1 : h1 + 1])
         d2 = (cp - desired.pitch)[:, None] ** 2 + (cy - desired.yaw)[None, :] ** 2
@@ -617,13 +617,13 @@ def plan(
         chooser, avoided = None, []
     trajectory = [initial_state.copy()]
     metrics: list = []
-    recent: list = []
+    recent = collections.deque(maxlen=_STALL_WINDOW)  # tip displacements
     status = PlanStatus.STEP_LIMIT
 
     state = trajectory[0]
+    remaining = float(np.linalg.norm(goal - state.positions[-1]))
     for _ in range(cfg.max_steps):
         t0 = time.perf_counter()
-        remaining = float(np.linalg.norm(goal - state.positions[-1]))
         try:
             if remaining <= cfg.goal_tolerance:
                 target = state.positions[-1]
@@ -647,19 +647,15 @@ def plan(
                 min_clearance=min_clearance(model, new_state.positions, obstacles),
             )
         )
-        ee_disp = float(np.linalg.norm(new_state.positions[-1] - state.positions[-1]))
+        recent.append(float(np.linalg.norm(new_state.positions[-1] - state.positions[-1])))
         trajectory.append(new_state)
         state = new_state
 
-        if float(np.linalg.norm(goal - state.positions[-1])) <= cfg.goal_tolerance:
+        remaining = float(np.linalg.norm(goal - state.positions[-1]))
+        if remaining <= cfg.goal_tolerance:
             status = PlanStatus.GOAL_REACHED
             break
-        recent.append(ee_disp)
-        if len(recent) > cfg.stall_window:
-            recent.pop(0)
-        if len(recent) == cfg.stall_window and all(
-            d < cfg.stall_displacement for d in recent
-        ):
+        if len(recent) == _STALL_WINDOW and all(d < _STALL_DISPLACEMENT for d in recent):
             status = PlanStatus.STALLED
             break
 

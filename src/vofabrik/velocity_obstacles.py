@@ -25,6 +25,8 @@ from .geometry import as_vec3
 
 _REST_SPEED = 1e-15  # m/s; below this a relative velocity cannot cause collision
 _REFINEMENT_STEPS = 60
+_BOUNDARY_EPSILON = 1e-3  # rad; in_cone's angular margin inside the cone surface
+_DIRECTION_SAMPLES = 256  # Fibonacci lattice directions scanned for a blocked v_pref
 
 
 class AlreadyInCollision(ValueError):
@@ -84,19 +86,13 @@ class CollisionCone:
 
 @dataclass(frozen=True)
 class VOConfig:
-    """Horizon and search resolution for velocity selection."""
+    """Time horizon within which a collision counts."""
 
     time_horizon: float = 0.6
-    boundary_epsilon: float = 1e-3
-    direction_samples: int = 256
 
     def __post_init__(self):
         if not self.time_horizon > 0.0:
             raise ValueError(f"time_horizon must be > 0, got {self.time_horizon}")
-        if self.direction_samples < 64:
-            raise ValueError(
-                f"direction_samples must be >= 64, got {self.direction_samples}"
-            )
 
 
 def collision_cone(agent_center, agent_radius: float, obstacle: SphereObstacle) -> CollisionCone:
@@ -148,7 +144,7 @@ def in_cone(v, cone: CollisionCone, cfg: VOConfig) -> bool:
     """Whether velocity v leads to contact within the time horizon.
 
     True iff the relative velocity lies strictly inside the cone (angle to
-    axis below half_angle - boundary_epsilon) and the exact first-contact
+    axis below half_angle - _BOUNDARY_EPSILON) and the exact first-contact
     time is within cfg.time_horizon.
     """
     rel = as_vec3(v) - cone.apex_velocity_offset
@@ -157,7 +153,7 @@ def in_cone(v, cone: CollisionCone, cfg: VOConfig) -> bool:
         return False
     cos_angle = float(np.dot(rel, cone.axis)) / speed
     angle = math.acos(min(max(cos_angle, -1.0), 1.0))
-    if angle >= cone.half_angle - cfg.boundary_epsilon:
+    if angle >= cone.half_angle - _BOUNDARY_EPSILON:
         return False
     return first_contact_time(v, cone) <= cfg.time_horizon
 
@@ -194,7 +190,7 @@ def admissible_velocity(v_pref, cones, cfg: VOConfig) -> np.ndarray:
         return v_pref
 
     u_pref = v_pref / speed
-    dirs = _fibonacci_directions(cfg.direction_samples)
+    dirs = _fibonacci_directions(_DIRECTION_SAMPLES)
     scores = dirs @ u_pref
     best_index = -1
     for idx in np.argsort(-scores, kind="stable"):
@@ -202,9 +198,7 @@ def admissible_velocity(v_pref, cones, cfg: VOConfig) -> np.ndarray:
             best_index = int(idx)
             break
     if best_index < 0:
-        raise NoAdmissibleVelocity(
-            f"all {cfg.direction_samples} sampled directions are blocked"
-        )
+        raise NoAdmissibleVelocity(f"all {_DIRECTION_SAMPLES} sampled directions are blocked")
 
     # Walk the arc between the best admissible direction and the preferred
     # one; the preferred end is blocked, so bisection converges onto the

@@ -28,8 +28,10 @@ from vofabrik import (
     SolveStatus,
     SphereObstacle,
     VOConfig,
+    capsule_sphere_distance,
     collision_cone,
     in_cone,
+    link_capsules,
     load_scenario,
     make_report,
     min_clearance,
@@ -41,9 +43,11 @@ from vofabrik import (
     state_from_angles,
     validate_trajectory,
 )
+from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON
 
 UNLIMITED = JointLimits.unlimited()
 CAVITY_NAMES = ("cavity_19dof", "cavity_19dof_extended")
+CLEARANCE_TOL = 1e-12  # m, the benchmark's bound on min_clearance against its oracle
 
 # SHA-256 of each shipped scenario's trajectory CSV with the wall_time field
 # cut from every line, lines joined by "\n" with no trailing newline
@@ -91,6 +95,19 @@ def cavity_runs():
             report=make_report(record, outcome.status),
             violations=validate_trajectory(scenario.chain, record, scenario.obstacles),
             elapsed=elapsed,
+        )
+    return runs
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(cavity_runs):
+    """(scenario, outcome) of all four shipped scenarios."""
+    runs = {name: (run.scenario, run.outcome) for name, run in cavity_runs.items()}
+    for name in ("planar_2link", "planar_3link"):
+        scenario = load_scenario(scenario_path(name))
+        runs[name] = (
+            scenario,
+            plan(scenario.chain, scenario.initial_state(), scenario.goal, scenario.obstacles, scenario.planner),
         )
     return runs
 
@@ -181,22 +198,44 @@ class TestAcceptance:
             assert digest == GOLDEN_DIGESTS[name], (name, digest)
         print("golden digests PASS - all four shipped trajectories unchanged")
 
-    def test_batched_clearance_matches_scalar_on_shipped_plans(self, cavity_runs):
-        """min_clearance equals the scalar segment path exactly on every shipped state."""
-        runs = {name: (run.scenario, run.outcome) for name, run in cavity_runs.items()}
-        for name in ("planar_2link", "planar_3link"):
-            scenario = load_scenario(scenario_path(name))
-            runs[name] = (
-                scenario,
-                plan(scenario.chain, scenario.initial_state(), scenario.goal, scenario.obstacles, scenario.planner),
-            )
-        for name, (scenario, outcome) in runs.items():
+    def test_batched_clearance_matches_scalar_on_shipped_plans(self, shipped_runs):
+        """min_clearance equals the scalar reference exactly on every shipped state:
+        link pairs against segment_segment_distance, obstacle rows against the
+        per-obstacle loop."""
+        for name, (scenario, outcome) in shipped_runs.items():
             for k, state in enumerate(outcome.trajectory):
                 # without obstacles the link pairs alone set the minimum
                 for obstacles in ((), scenario.obstacles):
                     got = min_clearance(scenario.chain, state.positions, obstacles)
                     assert got == scalar_min_clearance(scenario.chain, state.positions, obstacles), (name, k)
-        print("clearance kernel PASS - bit-equal to the scalar path on all shipped states")
+        print(
+            "clearance kernel PASS - link pairs bit-equal to segment_segment_distance, "
+            "obstacle rows to the per-obstacle loop, on all shipped states"
+        )
+
+    def test_obstacle_clearance_matches_capsule_oracle_on_shipped_plans(self, shipped_runs):
+        """Where the obstacle rows can set min_clearance, they agree with
+        capsule_sphere_distance to within CLEARANCE_TOL on every shipped state."""
+        states = binding = 0
+        for name, (scenario, outcome) in shipped_runs.items():
+            for k, state in enumerate(outcome.trajectory):
+                want = min(
+                    capsule_sphere_distance(capsule, o.center, o.radius)
+                    for capsule in link_capsules(scenario.chain, state)
+                    for o in scenario.obstacles
+                )
+                # min_clearance is the smaller of the link-pair and obstacle
+                # parts; the link pairs alone are checked bit for bit above
+                links = min_clearance(scenario.chain, state.positions, ())
+                got = min_clearance(scenario.chain, state.positions, scenario.obstacles)
+                assert abs(got - min(links, want)) <= CLEARANCE_TOL, (name, k, got, want, links)
+                states += 1
+                binding += want < links
+        assert binding > 0
+        print(
+            f"obstacle clearance PASS - within {CLEARANCE_TOL} m of capsule_sphere_distance "
+            f"on {states} shipped states, obstacles closest on {binding}"
+        )
 
     def test_criterion_5_reduces_to_plain_fabrik_without_obstacles(self):
         """No obstacles + unlimited joints: both solvers emit bit-identical states."""
@@ -325,7 +364,7 @@ class TestAcceptance:
                 (b - math.sqrt(disc)) / a if (disc >= 0.0 and b > 0.0) else math.inf
             )
             window = 2.0 * math.sqrt(max(disc, 0.0)) / a if a > 0.0 else 0.0
-            near_surface = abs(angle - cone.half_angle) <= cfg.boundary_epsilon
+            near_surface = abs(angle - cone.half_angle) <= _BOUNDARY_EPSILON
             near_horizon = abs(t_contact - cfg.time_horizon) <= 2.0 * dt
             unresolvable = window < 2.0 * dt
             assert near_surface or near_horizon or unresolvable, (

@@ -64,6 +64,13 @@ class TestRun:
         assert code == 2
         assert "--set.ik.limit_tolerance: unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ["stall_window=5", "vo.direction_samples=128"])
+    def test_removed_setting_exits_two(self, planar_2link, tmp_path, capsys, pair):
+        # these settings are module constants now; naming one is an error
+        code = main(["run", "--scenario", planar_2link, "--out-dir", str(tmp_path), "--set", pair])
+        assert code == 2
+        assert f"--set.{pair.split('=')[0]}: unknown field" in capsys.readouterr().err
+
     def test_malformed_set_pair_exits_two(self, planar_2link, tmp_path, capsys):
         code = main(
             ["run", "--scenario", planar_2link, "--out-dir", str(tmp_path), "--set", "max_steps"]

@@ -1,6 +1,7 @@
 """Scenario loading, trajectory CSV round-trips, and the independent validator."""
 
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -166,6 +167,33 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=r"obstacles\[1\]\.velocity: obstacle 1 must be static"):
             scenario_from_dict(doc)
 
+    def test_removed_setting_rejected(self):
+        doc = toy_doc()
+        doc["planner"] = {"vo": {"boundary_epsilon": 0.01}}
+        with pytest.raises(ParseError, match=r"scenario\.planner\.vo\.boundary_epsilon: unknown field"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "base, length",
+        [
+            ([0.0, 0.0, 0.0], 1e7),
+            # past geometry.FMA_RANGE, where min_clearance would overflow
+            ([2e150, 0.0, 0.0], 1e149),
+        ],
+    )
+    def test_inconsistent_initial_state_rejected_at_load(self, base, length):
+        # fk's rounding at these coordinates breaks the rigid-link check
+        # that plan runs first, so the load runs it too
+        doc = toy_doc()
+        doc["chain"]["base"] = base
+        doc["chain"]["links"] = [{"length": length, "thickness": 0.01} for _ in range(3)]
+        doc["chain"]["limits"] = [{"pitch": [-1.0, 1.0], "yaw": [-1.0, 1.0]} for _ in range(3)]
+        doc["initial_angles"] = [[0.3, 0.2]] * 3
+        doc["goal"] = [base[0] + 2.0 * length, 0.1 * length, 0.0]
+        doc["obstacles"] = []
+        with pytest.raises(ValidationError, match="initial_angles: link .* deviates"):
+            scenario_from_dict(doc)
+
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
@@ -206,6 +234,26 @@ class TestConfigOverrides:
     def test_rejected_value_carries_path(self):
         with pytest.raises(ParseError, match="planner"):
             config_with_overrides(PlannerConfig(), {"t_s": -1.0})
+
+    def test_settable_keys_are_pinned(self):
+        # the keys a scenario's "planner" block and --set accept, as listed
+        # in the README
+        def keys(config, prefix=""):
+            for f in fields(config):
+                value = getattr(config, f.name)
+                yield from keys(value, f"{f.name}.") if is_dataclass(value) else [prefix + f.name]
+
+        assert sorted(keys(PlannerConfig())) == [
+            "angular_resolution",
+            "clearance_margin",
+            "goal_tolerance",
+            "ik.epsilon",
+            "ik.max_iterations",
+            "max_steps",
+            "t_s",
+            "v_pref_speed",
+            "vo.time_horizon",
+        ]
 
     def test_base_untouched(self):
         base = PlannerConfig()

@@ -24,6 +24,7 @@ from vofabrik.velocity_obstacles import (
     first_contact_time,
     in_cone,
 )
+from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON
 
 ORIGIN = np.zeros(3)
 
@@ -99,7 +100,7 @@ class TestCollisionCone:
 
 
 class TestInCone:
-    CFG = VOConfig(time_horizon=2.0, boundary_epsilon=1e-3)
+    CFG = VOConfig(time_horizon=2.0)
 
     def cone(self):
         return collision_cone(
@@ -156,12 +157,12 @@ class TestInCone:
             )
             if member != collides:
                 assert abs(angle_to_axis(v, cone) - cone.half_angle) <= (
-                    cfg.boundary_epsilon + 1e-9
+                    _BOUNDARY_EPSILON + 1e-9
                 )
 
 
 class TestAdmissibleVelocity:
-    CFG = VOConfig(time_horizon=5.0, boundary_epsilon=1e-3, direction_samples=256)
+    CFG = VOConfig(time_horizon=5.0)
 
     def test_no_cones_returns_vpref_bit_identical(self):
         v = np.array([0.3, -0.1, 0.2])
@@ -185,7 +186,7 @@ class TestAdmissibleVelocity:
         assert np.linalg.norm(out) == pytest.approx(0.5, abs=1e-12)
         assert not in_cone(out, cone, self.CFG)
         # sits just outside the membership boundary
-        margin = self.CFG.boundary_epsilon
+        margin = _BOUNDARY_EPSILON
         assert abs(angle_to_axis(out, cone) - (cone.half_angle - margin)) < 1e-6
 
     def test_fully_enclosed_raises(self):
