@@ -3,8 +3,9 @@
 This is the headline scenario: the chain starts hooked back on itself,
 has to straighten out through a ring of spheres, and must keep positive
 clearance the whole way. The same scenario planned without the velocity
-filter reaches the goal too - straight through the obstacles, which the
-independent validator duly reports.
+filter heads straight through the obstacles; the planner stops it at the
+first step whose clearance is not positive and reports Collision, so the
+trajectory it records still validates clean.
 """
 
 import numpy as np

@@ -23,9 +23,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Capsule3, Segment3, as_vec3
+from .geometry import FMA_RANGE, Capsule3, Segment3, as_vec3
 
-# float-noise allowance of fk's limit check and ChainState.validate
+# float-noise allowance of fk's limit check, and per metre of model.extent
+# of ChainState.validate's fk-consistency check
 _TOL = 1e-9
 
 
@@ -81,12 +82,6 @@ class JointLimits:
     @classmethod
     def symmetric(cls, pitch: float, yaw: float) -> "JointLimits":
         return cls(-pitch, pitch, -yaw, yaw)
-
-    def contains(self, pitch: float, yaw: float, tol: float = 0.0) -> bool:
-        return (
-            self.pitch_min - tol <= pitch <= self.pitch_max + tol
-            and self.yaw_min - tol <= yaw <= self.yaw_max + tol
-        )
 
 
 class JointFrame(NamedTuple):
@@ -146,7 +141,10 @@ class ChainModel:
 
     links[k] spans positions p_k to p_{k+1}; limits[k] bounds joint k, the
     joint at p_k that aims link k relative to link k-1 (or relative to
-    base_direction for k = 0).
+    base_direction for k = 0). The chain's reach, max|base| + sum of the
+    link lengths, bounds every coordinate a pose can take; it must lie
+    within geometry.FMA_RANGE, and extent = max(1, reach) scales the
+    tolerance of ChainState.validate.
     """
 
     base: np.ndarray
@@ -176,7 +174,11 @@ class ChainModel:
         n = float(np.linalg.norm(self.base_direction))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"base_direction must be unit length, norm is {n:.17g}")
-        up = self.world_up / np.linalg.norm(self.world_up)
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(self.world_up))
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"world_up must normalize to a finite unit vector, norm is {n:g}")
+        up = self.world_up / n
         if abs(float(np.dot(self.base_direction, up))) > 1.0 - 1e-9:
             raise ValueError("base_direction must not be collinear with world_up")
         f = self.base_direction
@@ -188,6 +190,11 @@ class ChainModel:
         object.__setattr__(
             self, "thicknesses", np.array([l.thickness for l in self.links])
         )
+        # Python floats overflow to inf silently, where np.sum would warn
+        reach = max(map(abs, self.base.tolist())) + sum(self.lengths.tolist())
+        if not reach <= FMA_RANGE:
+            raise ValueError(f"chain reach {reach:g} m (max|base| + link lengths) must lie within {FMA_RANGE:g}")
+        object.__setattr__(self, "extent", max(1.0, reach))
 
     @property
     def n_links(self) -> int:
@@ -225,7 +232,10 @@ class ChainState:
         return ChainState(self.positions.copy(), self.angles.copy())
 
     def validate(self, model: ChainModel) -> None:
-        """Check the rigid-link, base-anchor, and fk-consistency invariants."""
+        """Check the shapes, and that positions == fk(angles) to within
+        _TOL * model.extent. fk starts at the base and places every link at
+        its exact length, so this also anchors the base and keeps the links
+        rigid. NaN anywhere fails."""
         if self.positions.shape != (model.n_links + 1, 3):
             raise InconsistentPositions(
                 f"expected {model.n_links + 1} positions, got {self.positions.shape}"
@@ -234,18 +244,10 @@ class ChainState:
             raise InconsistentPositions(
                 f"expected {model.n_links} angle pairs, got {self.angles.shape}"
             )
-        if float(np.linalg.norm(self.positions[0] - model.base)) > 1e-12:
-            raise InconsistentPositions("p_0 does not coincide with the model base")
-        seg = np.linalg.norm(np.diff(self.positions, axis=0), axis=1)
-        err = np.abs(seg - model.lengths)
-        if np.any(err > _TOL):
-            k = int(np.argmax(err))
-            raise InconsistentPositions(
-                f"link {k} length {seg[k]:.12g} deviates from {model.lengths[k]:.12g}"
-            )
         rebuilt = fk(model, self.angles, check_limits=False)
-        if float(np.max(np.linalg.norm(rebuilt - self.positions, axis=1))) > _TOL:
-            raise InconsistentPositions("positions are not fk(angles)")
+        gap = float(np.max(np.linalg.norm(rebuilt - self.positions, axis=1)))
+        if not gap <= _TOL * model.extent:
+            raise InconsistentPositions(f"positions deviate from fk(angles) by {gap:.6g} m")
 
 
 def _as_angle_array(angles, n_links: int) -> np.ndarray:

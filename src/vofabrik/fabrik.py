@@ -46,7 +46,7 @@ from .chain import (
     angles_from_direction,
     joint_frames,
 )
-from .geometry import DEGENERACY_THRESHOLD, FMA_RANGE, as_vec3, fma
+from .geometry import DEGENERACY_THRESHOLD, as_point, fma
 
 
 class Phase(Enum):
@@ -66,8 +66,8 @@ class FabrikConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -170,11 +170,8 @@ def solve(
     """
     cfg = cfg or FabrikConfig()
     chooser = choose_angles or _default_chooser
-    target = as_vec3(target)
-    # fma is exact within FMA_RANGE; the sweep stays within reach of the base
-    extent = max(float(np.max(np.abs(target))), float(np.max(np.abs(model.base))) + model.total_length)
-    if not extent <= FMA_RANGE:
-        raise ValueError(f"target and chain coordinates must lie within +-{FMA_RANGE:g}, got {extent:g}")
+    # fma is exact within FMA_RANGE; ChainModel keeps the chain's reach there
+    target = as_point(target, "target")
 
     residual = float(np.linalg.norm(state.positions[-1] - target))
     if residual < cfg.epsilon:

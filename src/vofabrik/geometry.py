@@ -1,12 +1,14 @@
 """Scalar 3D geometry primitives and distance queries.
 
 Points and vectors are plain numpy arrays of shape (3,), dtype float64.
-Segments and capsules are thin dataclasses wrapping them. Everything here
-is a pure function of its inputs and safe to call concurrently.
+Segments and capsules are frozen dataclasses wrapping them; a segment keeps
+read-only copies of its endpoints. Everything here is a pure function of
+its inputs and safe to call concurrently.
 
-Degenerate (near zero-length) segments are rejected with an error instead
-of silently collapsing to a point, so that NaNs never propagate into the
-solvers downstream.
+Degenerate (near zero-length) segments are rejected when they are built
+instead of silently collapsing to a point, so that NaNs never propagate
+into the solvers downstream. A segment cannot change afterwards, so the
+distance queries need not check again.
 """
 
 from __future__ import annotations
@@ -54,27 +56,34 @@ def as_vec3(v) -> np.ndarray:
     return a
 
 
-@dataclass
+def as_point(v, name: str) -> np.ndarray:
+    """Coerce a position to a float64 3-vector within the range fma serves.
+    NaN and inf fail the range test too."""
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,) or not np.all(np.abs(a) <= FMA_RANGE):
+        raise ValueError(f"{name} must lie within +-{FMA_RANGE:g} in each of 3 coordinates, got {a.tolist()}")
+    return a
+
+
+@dataclass(frozen=True)
 class Segment3:
-    """Directed segment from a to b."""
+    """Directed segment from a to b, with read-only copies of both ends."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.a = as_vec3(self.a)
-        self.b = as_vec3(self.b)
+        for name in ("a", "b"):
+            end = as_vec3(np.array(getattr(self, name), dtype=float))
+            end.flags.writeable = False
+            object.__setattr__(self, name, end)
         if float(np.linalg.norm(self.b - self.a)) < DEGENERACY_THRESHOLD:
             raise DegenerateSegment(
                 f"segment endpoints coincide within {DEGENERACY_THRESHOLD} m"
             )
 
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
 
-
-@dataclass
+@dataclass(frozen=True)
 class Capsule3:
     """Segment swept by a sphere of the given radius (a volumetric link)."""
 
@@ -86,17 +95,10 @@ class Capsule3:
             raise ValueError(f"capsule radius must be >= 0, got {self.radius}")
 
 
-def _require_nondegenerate(s: Segment3) -> np.ndarray:
-    d = s.b - s.a
-    if float(np.dot(d, d)) < DEGENERACY_THRESHOLD**2:
-        raise DegenerateSegment(f"segment endpoints coincide within {DEGENERACY_THRESHOLD} m")
-    return d
-
-
 def closest_point_on_segment(p, s: Segment3) -> np.ndarray:
     """Point of s minimizing the distance to p (clamped parametric projection)."""
     p = as_vec3(p)
-    d = _require_nondegenerate(s)
+    d = s.b - s.a
     t = float(np.dot(p - s.a, d) / np.dot(d, d))
     t = min(max(t, 0.0), 1.0)
     return s.a + t * d
@@ -105,8 +107,8 @@ def closest_point_on_segment(p, s: Segment3) -> np.ndarray:
 def _segment_pair_closest(s1: Segment3, s2: Segment3):
     # Clamped closest points between two segments, after Ericson,
     # "Real-Time Collision Detection", 5.1.9.
-    d1 = _require_nondegenerate(s1)
-    d2 = _require_nondegenerate(s2)
+    d1 = s1.b - s1.a
+    d2 = s2.b - s2.a
     r = s1.a - s2.a
     a = float(np.dot(d1, d1))
     e = float(np.dot(d2, d2))

@@ -58,7 +58,7 @@ from .chain import (
     link_capsules,
     state_from_angles,
 )
-from .geometry import capsule_capsule_distance, capsule_sphere_distance
+from .geometry import as_point, capsule_capsule_distance, capsule_sphere_distance
 from .planner import PlannerConfig, PlanStatus, min_clearance, plan
 from .velocity_obstacles import SphereObstacle
 
@@ -217,14 +217,15 @@ def scenario_from_dict(doc, where="scenario") -> Scenario:
     )
 
     goal = _vec3(_require(doc, "goal", where), f"{where}.goal")
-    if not np.isfinite(goal).all():
-        raise ValidationError(f"{where}.goal: must be finite, got {goal.tolist()}")
+    try:
+        as_point(goal, f"{where}.goal")
+    except ValueError as e:
+        raise ValidationError(str(e)) from e
     obstacles = _parse_obstacles(_require(doc, "obstacles", where), f"{where}.obstacles")
     planner = config_with_overrides(PlannerConfig(), doc.get("planner", {}), f"{where}.planner")
 
     try:
         state = state_from_angles(model, initial)
-        state.validate(model)
     except ValueError as e:
         raise ValidationError(f"initial_angles: {e}") from e
     clearance = min_clearance(model, state.positions, obstacles)
@@ -519,10 +520,6 @@ class RunReport:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc) -> "RunReport":
-        return cls(**{f.name: doc[f.name] for f in dataclass_fields(cls)})
 
 
 def make_report(record: TrajectoryRecord, status) -> RunReport:

@@ -65,7 +65,7 @@ from .fabrik import (
     clamp_to_limits,
     solve as fabrik_solve,
 )
-from .geometry import DEGENERACY_THRESHOLD, DegenerateSegment, as_vec3, fma
+from .geometry import DEGENERACY_THRESHOLD, DegenerateSegment, as_point, fma
 from .velocity_obstacles import (
     NoAdmissibleVelocity,
     SphereObstacle,
@@ -100,6 +100,7 @@ class PlanStatus(Enum):
     STEP_LIMIT = "StepLimit"
     SAFE_SET_EMPTY = "SafeSetEmpty"
     NO_ADMISSIBLE_VELOCITY = "NoAdmissibleVelocity"
+    COLLISION = "Collision"  # a step's clearance was not positive; not recorded
 
 
 @dataclass(frozen=True)
@@ -596,12 +597,13 @@ def plan(
     solver="vofabrik" avoids the obstacles. solver="fabrik" is the
     baseline that ignores them: the same loop given no chooser and no
     cones, so its velocity is the preferred one (obstacles still feed the
-    clearance metric and the initial-state check).
+    clearance metric and the initial-state check). A step whose clearance
+    is not positive ends the plan with COLLISION before it is recorded.
     """
     if solver not in ("vofabrik", "fabrik"):
         raise ValueError(f"unknown solver {solver!r}")
     cfg = cfg or PlannerConfig()
-    goal = as_vec3(goal)
+    goal = as_point(goal, "goal")
     obstacles = list(obstacles)
 
     initial_state.validate(model)
@@ -641,12 +643,11 @@ def plan(
         wall = time.perf_counter() - t0
 
         new_state = outcome.state
-        metrics.append(
-            StepMetrics(
-                wall_time=wall,
-                min_clearance=min_clearance(model, new_state.positions, obstacles),
-            )
-        )
+        clearance = min_clearance(model, new_state.positions, obstacles)
+        if clearance <= 0.0:
+            status = PlanStatus.COLLISION
+            break
+        metrics.append(StepMetrics(wall_time=wall, min_clearance=clearance))
         recent.append(float(np.linalg.norm(new_state.positions[-1] - state.positions[-1])))
         trajectory.append(new_state)
         state = new_state

@@ -298,6 +298,20 @@ class TestChainState:
         with pytest.raises(InconsistentPositions):
             state.validate(model)
 
+    def test_validate_rejects_nan_positions(self):
+        model = straight_chain(4)
+        state = state_from_angles(model, np.zeros((4, 2)))
+        state.positions[2, 1] = np.nan
+        with pytest.raises(InconsistentPositions):
+            state.validate(model)
+
+    def test_validate_rejects_nan_angles(self):
+        model = straight_chain(4)
+        state = state_from_angles(model, np.zeros((4, 2)))
+        state.angles[1, 0] = np.nan
+        with pytest.raises(InconsistentPositions):
+            state.validate(model)
+
     def test_copy_is_independent(self):
         model = straight_chain(3)
         state = state_from_angles(model, np.zeros((3, 2)))

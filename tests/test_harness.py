@@ -1,7 +1,8 @@
 """Scenario loading, trajectory CSV round-trips, and the independent validator."""
 
 import json
-from dataclasses import fields, is_dataclass
+import warnings
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -182,18 +183,37 @@ class TestLoadScenario:
         ],
     )
     def test_inconsistent_initial_state_rejected_at_load(self, base, length):
-        # fk's rounding at these coordinates breaks the rigid-link check
-        # that plan runs first, so the load runs it too
+        # ChainState.validate's tolerance grows with the chain's reach, as
+        # fk's rounding does, so a 1e7 m chain loads at any pose; a chain
+        # whose reach passes FMA_RANGE is rejected whatever its pose
         doc = toy_doc()
         doc["chain"]["base"] = base
         doc["chain"]["links"] = [{"length": length, "thickness": 0.01} for _ in range(3)]
         doc["chain"]["limits"] = [{"pitch": [-1.0, 1.0], "yaw": [-1.0, 1.0]} for _ in range(3)]
-        doc["initial_angles"] = [[0.3, 0.2]] * 3
         doc["goal"] = [base[0] + 2.0 * length, 0.1 * length, 0.0]
         doc["obstacles"] = []
-        with pytest.raises(ValidationError, match="initial_angles: link .* deviates"):
+        for angles in ((0.0, 0.0), (0.3, 0.2), (0.5, 0.5)):
+            doc["initial_angles"] = [list(angles)] * 3
+            if length < 1e8:
+                scenario = scenario_from_dict(doc)
+                scenario.initial_state().validate(scenario.chain)
+            else:
+                with pytest.raises(ValidationError, match="chain reach"):
+                    scenario_from_dict(doc)
+
+    def test_goal_beyond_fma_range_rejected_at_load(self):
+        doc = toy_doc()
+        doc["goal"] = [1e200, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="goal must lie within"):
             scenario_from_dict(doc)
 
+    def test_zero_world_up_rejected_at_load(self):
+        doc = toy_doc()
+        doc["chain"]["world_up"] = [0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="world_up"):
+                scenario_from_dict(doc)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
@@ -201,6 +221,7 @@ class TestLoadScenario:
         [
             ("planner.clearance_margin", ParseError),
             ("planner.angular_resolution", ParseError),
+            ("planner.ik.epsilon", ParseError),
             ("chain.links.length", ValidationError),
             ("chain.links.thickness", ValidationError),
             ("goal", ValidationError),
@@ -210,6 +231,8 @@ class TestLoadScenario:
         doc = toy_doc()
         if field == "goal":
             doc["goal"][1] = value
+        elif field == "planner.ik.epsilon":
+            doc["planner"]["ik"] = {"epsilon": value}
         elif field.startswith("planner."):
             doc["planner"][field.split(".")[1]] = value
         else:
@@ -446,12 +469,9 @@ class TestReports:
 
     def test_report_files_written(self, tmp_path):
         scenario = load_scenario(scenario_path("planar_2link"))
-        run_and_report(scenario, solver="fabrik", out_dir=tmp_path)
+        _, report = run_and_report(scenario, solver="fabrik", out_dir=tmp_path)
         payload = json.loads((tmp_path / "planar_2link_fabrik_report.json").read_text())
-        assert payload["scenario"] == "planar_2link"
-        assert payload["solver"] == "fabrik"
-        report = RunReport.from_dict(payload)
-        assert report.step_count == payload["step_count"]
+        assert payload == {"scenario": "planar_2link", "solver": "fabrik", **asdict(report)}
 
     def test_single_row_record_reports_zeros(self):
         record = TrajectoryRecord(

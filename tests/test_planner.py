@@ -1,13 +1,16 @@
 """Planner tests: the angle chooser's safe region, virtual self-spheres
-and rasterization, checked on the chooser plan() runs, and the outer
-goal-stepping loop."""
+and rasterization, checked on the chooser plan() runs, the outer
+goal-stepping loop, and random small scenarios from load to validation."""
 
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vofabrik.geometry
 import vofabrik.planner
@@ -25,7 +28,15 @@ from vofabrik.chain import (
 )
 from vofabrik.fabrik import FabrikConfig, Phase, solve
 from vofabrik.geometry import DegenerateSegment
-from vofabrik.harness import load_scenario, scenario_path
+from vofabrik.harness import (
+    ParseError,
+    ValidationError,
+    load_scenario,
+    record_from_outcome,
+    scenario_from_dict,
+    scenario_path,
+    validate_trajectory,
+)
 from vofabrik.planner import (
     ConeConstraints,
     InitialStateInCollision,
@@ -478,7 +489,9 @@ class TestPlan:
         assert avoid.status is PlanStatus.GOAL_REACHED
         assert min(m.min_clearance for m in avoid.per_step_metrics) > 0.0
         through = plan(model, state, goal, obstacles, solver="fabrik")
-        assert min(m.min_clearance for m in through.per_step_metrics) < 0.0
+        # the baseline runs into the obstacle; plan stops before recording it
+        assert through.status is PlanStatus.COLLISION
+        assert min(m.min_clearance for m in through.per_step_metrics) > 0.0
 
     def test_goal_at_entry_returns_single_zero_step(self):
         model = make_chain(4)
@@ -551,14 +564,103 @@ class TestPlan:
         assert out.status is PlanStatus.GOAL_REACHED
         for st in out.trajectory:
             st.validate(model)
-            for k, lim in enumerate(model.limits):
-                assert lim.contains(st.angles[k, 0], st.angles[k, 1], tol=1e-9)
+            for (pitch, yaw), lim in zip(st.angles, model.limits):
+                assert lim.pitch_min - 1e-9 <= pitch <= lim.pitch_max + 1e-9
+                assert lim.yaw_min - 1e-9 <= yaw <= lim.yaw_max + 1e-9
 
     def test_unknown_solver_rejected(self):
         model = make_chain(3)
         state = state_from_angles(model, np.zeros((3, 2)))
         with pytest.raises(ValueError):
             plan(model, state, np.array([0.2, 0.0, 0.0]), [], solver="rrt")
+
+    def test_goal_beyond_fma_range_rejected_at_entry(self):
+        model = make_chain(3)
+        state = state_from_angles(model, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="goal must lie within"):
+            plan(model, state, np.array([1e200, 0.0, 0.0]), [])
+
+
+# three planar links folding back toward their base: the chooser's virtual
+# self-spheres cover only the links a sweep has yet to place, so the plan
+# reaches self-collision at step 24 unless plan stops it
+FOLD3 = {
+    "schema_version": 1,
+    "name": "fold3",
+    "chain": {
+        "base": [0.0, 0.0, 0.0],
+        "base_direction": [1.0, 0.0, 0.0],
+        "links": [{"length": L, "thickness": 0.01} for L in (0.1, 0.08, 0.12)],
+        "limits": [{"pitch": [0.0, 0.0], "yaw": [-2.5, 2.5]}] * 3,
+    },
+    "initial_angles": [[0.0, 0.0]] * 3,
+    "goal": [0.0, -0.04, 0.1],
+    "obstacles": [],
+}
+
+
+@st.composite
+def scenario_docs(draw):
+    """Small chains, some planar, 0-3 spheres and random solver settings."""
+    n = draw(st.integers(2, 6))
+    planar = draw(st.booleans())
+    links, limits, angles = [], [], []
+    for _ in range(n):
+        links.append({"length": draw(st.floats(0.04, 0.15)), "thickness": draw(st.floats(0.0, 0.015))})
+        pitch = 0.0 if planar else draw(st.floats(0.2, 1.4))
+        yaw = draw(st.floats(1.0, 3.0))
+        limits.append({"pitch": [-pitch, pitch], "yaw": [-yaw, yaw]})
+        angles.append([draw(st.floats(-0.4, 0.4)) * pitch, draw(st.floats(-0.4, 0.4))])
+    reach = sum(link["length"] for link in links)
+
+    def point(lo, hi):
+        r = draw(st.floats(lo, hi)) * reach
+        el = 0.0 if planar else draw(st.floats(-1.2, 1.2))
+        az = draw(st.floats(-math.pi, math.pi))
+        return [r * math.cos(el) * math.cos(az), r * math.cos(el) * math.sin(az), r * math.sin(el)]
+
+    spheres = draw(st.integers(0, 3))
+    return {
+        "schema_version": 1,
+        "name": "fuzz",
+        "chain": {"base": [0.0, 0.0, 0.0], "base_direction": [1.0, 0.0, 0.0], "links": links, "limits": limits},
+        "initial_angles": angles,
+        "goal": point(0.0, 0.8),
+        "obstacles": [{"center": point(0.2, 1.0), "radius": draw(st.floats(0.01, 0.06))} for _ in range(spheres)],
+        "planner": {
+            "max_steps": 40,
+            "angular_resolution": draw(st.floats(math.radians(0.5), math.radians(3.0))),
+            "clearance_margin": draw(st.floats(0.0, 0.01)),
+            "ik": {"max_iterations": draw(st.integers(5, 100))},
+        },
+    }
+
+
+class TestRandomScenarios:
+    def test_self_collision_ends_plan_before_it_is_recorded(self):
+        scenario = scenario_from_dict(FOLD3)
+        out = plan(scenario.chain, scenario.initial_state(), scenario.goal, [], scenario.planner)
+        assert out.status is PlanStatus.COLLISION
+        assert len(out.trajectory) == 24
+        record = record_from_outcome(scenario, out)
+        assert np.all(record.min_clearance > 0.0)
+        assert validate_trajectory(scenario.chain, record, []) == []
+
+    @example(FOLD3)
+    @given(scenario_docs())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_every_plan_ends_typed_and_validates_clean(self, doc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                scenario = scenario_from_dict(doc)
+            except (ParseError, ValidationError):
+                return
+            out = plan(scenario.chain, scenario.initial_state(), scenario.goal, scenario.obstacles, scenario.planner)
+            assert isinstance(out.status, PlanStatus)
+            record = record_from_outcome(scenario, out)
+            assert np.all(np.isfinite(record.angles)) and np.all(np.isfinite(record.end_effector))
+            assert validate_trajectory(scenario.chain, record, scenario.obstacles) == []
 
 
 class TestMinClearance:
