@@ -235,7 +235,7 @@ class ChainState:
         """Check the shapes, and that positions == fk(angles) to within
         _TOL * model.extent. fk starts at the base and places every link at
         its exact length, so this also anchors the base and keeps the links
-        rigid. NaN anywhere fails."""
+        rigid. NaN anywhere fails, and so does an infinite angle."""
         if self.positions.shape != (model.n_links + 1, 3):
             raise InconsistentPositions(
                 f"expected {model.n_links + 1} positions, got {self.positions.shape}"
@@ -244,6 +244,8 @@ class ChainState:
             raise InconsistentPositions(
                 f"expected {model.n_links} angle pairs, got {self.angles.shape}"
             )
+        if not np.isfinite(self.angles).all():
+            raise InconsistentPositions(f"angles must be finite, got {self.angles.tolist()}")
         rebuilt = fk(model, self.angles, check_limits=False)
         gap = float(np.max(np.linalg.norm(rebuilt - self.positions, axis=1)))
         if not gap <= _TOL * model.extent:

@@ -9,6 +9,12 @@ Degenerate (near zero-length) segments are rejected when they are built
 instead of silently collapsing to a point, so that NaNs never propagate
 into the solvers downstream. A segment cannot change afterwards, so the
 distance queries need not check again.
+
+The distance queries compute on Python float triples, read once per
+endpoint, and build arrays only for the witness points they return. Each
+dot product goes through fma, as np.dot rounds it, so for coordinates
+within FMA_RANGE every query returns the same distance and witness points
+(==) as the numpy version it replaced (tests/geometry_reference.py).
 """
 
 from __future__ import annotations
@@ -95,29 +101,53 @@ class Capsule3:
             raise ValueError(f"capsule radius must be >= 0, got {self.radius}")
 
 
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
+
+
+def _dot(x, y) -> float:
+    # x . y of float triples, rounded as np.dot rounds it
+    return fma(x[2], y[2], fma(x[1], y[1], x[0] * y[0]))
+
+
+def _norm(x) -> float:
+    # length of a float triple, rounded as np.linalg.norm rounds it
+    return math.sqrt(_dot(x, x))
+
+
+def _project(p, a, d, dd):
+    # Point of the segment a + t d, t in [0, 1], closest to p; dd = d . d
+    t = min(max(_dot(_sub(p, a), d) / dd, 0.0), 1.0)
+    return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
+
+
 def closest_point_on_segment(p, s: Segment3) -> np.ndarray:
     """Point of s minimizing the distance to p (clamped parametric projection)."""
-    p = as_vec3(p)
-    d = s.b - s.a
-    t = float(np.dot(p - s.a, d) / np.dot(d, d))
-    t = min(max(t, 0.0), 1.0)
-    return s.a + t * d
+    a = s.a.tolist()
+    d = _sub(s.b.tolist(), a)
+    return np.array(_project(as_vec3(p).tolist(), a, d, _dot(d, d)))
 
 
 def _segment_pair_closest(s1: Segment3, s2: Segment3):
     # Clamped closest points between two segments, after Ericson,
-    # "Real-Time Collision Detection", 5.1.9.
-    d1 = s1.b - s1.a
-    d2 = s2.b - s2.a
-    r = s1.a - s2.a
-    a = float(np.dot(d1, d1))
-    e = float(np.dot(d2, d2))
-    f = float(np.dot(d2, r))
-    c = float(np.dot(d1, r))
-    b = float(np.dot(d1, d2))
+    # "Real-Time Collision Detection", 5.1.9, as (distance, point on s1,
+    # point on s2) in float triples. The segment with the smaller endpoint
+    # pair goes first, so swapping the arguments swaps the result exactly.
+    a1, b1, a2, b2 = s1.a.tolist(), s1.b.tolist(), s2.a.tolist(), s2.b.tolist()
+    swap = (a2, b2) < (a1, b1)
+    if swap:
+        a1, b1, a2, b2 = a2, b2, a1, b1
+    d1 = _sub(b1, a1)
+    d2 = _sub(b2, a2)
+    r = _sub(a1, a2)
+    a = _dot(d1, d1)
+    e = _dot(d2, d2)
+    f = _dot(d2, r)
+    c = _dot(d1, r)
+    b = _dot(d1, d2)
     denom = a * e - b * b
 
-    # Parallel segments: pick the s1 end closest to the s2 line.
+    # Parallel segments: pick the first segment's end closest to the other line.
     if denom > 0.0:
         s = min(max((b * f - c * e) / denom, 0.0), 1.0)
     else:
@@ -130,29 +160,25 @@ def _segment_pair_closest(s1: Segment3, s2: Segment3):
         t = 1.0
         s = min(max((b - c) / a, 0.0), 1.0)
 
-    p1 = s1.a + s * d1
-    p2 = s2.a + t * d2
+    p1 = (a1[0] + s * d1[0], a1[1] + s * d1[1], a1[2] + s * d1[2])
+    p2 = (a2[0] + t * d2[0], a2[1] + t * d2[1], a2[2] + t * d2[2])
 
     # The interior critical point is ill-conditioned for nearly parallel
     # segments (denom cancels), but in that regime the minimum sits at an
     # endpoint projection, which is well-conditioned. Every candidate is a
     # realizable point pair, so the minimum never undershoots.
-    best = (float(np.linalg.norm(p1 - p2)), p1, p2)
-    for q1 in (s1.a, s1.b):
-        q2 = closest_point_on_segment(q1, s2)
-        d = float(np.linalg.norm(q1 - q2))
+    best = (_norm(_sub(p1, p2)), p1, p2)
+    for q1 in (a1, b1):
+        q2 = _project(q1, a2, d2, e)
+        d = _norm(_sub(q1, q2))
         if d < best[0]:
             best = (d, q1, q2)
-    for q2 in (s2.a, s2.b):
-        q1 = closest_point_on_segment(q2, s1)
-        d = float(np.linalg.norm(q1 - q2))
+    for q2 in (a2, b2):
+        q1 = _project(q2, a1, d1, a)
+        d = _norm(_sub(q1, q2))
         if d < best[0]:
             best = (d, q1, q2)
-    return best
-
-
-def _segment_key(s: Segment3):
-    return (*s.a.tolist(), *s.b.tolist())
+    return (best[0], best[2], best[1]) if swap else best
 
 
 def segment_segment_distance(s1: Segment3, s2: Segment3):
@@ -162,13 +188,8 @@ def segment_segment_distance(s1: Segment3, s2: Segment3):
     symmetrized: swapping the arguments returns the identical distance and
     the witness pair swapped.
     """
-    # Evaluate in a canonical argument order so the result is exactly
-    # symmetric under argument swap.
-    if _segment_key(s2) < _segment_key(s1):
-        dist, p2, p1 = _segment_pair_closest(s2, s1)
-    else:
-        dist, p1, p2 = _segment_pair_closest(s1, s2)
-    return dist, p1, p2
+    dist, p1, p2 = _segment_pair_closest(s1, s2)
+    return dist, np.array(p1), np.array(p2)
 
 
 def capsule_sphere_distance(c: Capsule3, center, radius: float) -> float:
@@ -178,12 +199,12 @@ def capsule_sphere_distance(c: Capsule3, center, radius: float) -> float:
     """
     if radius < 0.0:
         raise ValueError(f"sphere radius must be >= 0, got {radius}")
-    center = as_vec3(center)
-    cp = closest_point_on_segment(center, c.axis)
-    return float(np.linalg.norm(center - cp)) - c.radius - radius
+    p = as_vec3(center).tolist()
+    a = c.axis.a.tolist()
+    d = _sub(c.axis.b.tolist(), a)
+    return _norm(_sub(p, _project(p, a, d, _dot(d, d)))) - c.radius - radius
 
 
 def capsule_capsule_distance(c1: Capsule3, c2: Capsule3) -> float:
     """Signed clearance between two capsules (negative when overlapping)."""
-    dist, _, _ = segment_segment_distance(c1.axis, c2.axis)
-    return dist - c1.radius - c2.radius
+    return _segment_pair_closest(c1.axis, c2.axis)[0] - c1.radius - c2.radius

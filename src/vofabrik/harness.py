@@ -431,7 +431,9 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
     Checks: joint limits, rigid links (the recorded end effector must match
     what the recorded angles produce), positive capsule-obstacle clearance,
     and positive clearance between non-adjacent links. Returns a list of
-    Violations; empty means the trajectory is safe.
+    Violations; empty means the trajectory is safe. A NaN or infinite angle
+    fails its limit check, and its row gets no other check, since it has no
+    pose.
     """
     out = []
     for i in range(trajectory.steps.shape[0]):
@@ -442,7 +444,7 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
                 ("pitch", float(angles[k, 0]), lim.pitch_min, lim.pitch_max),
                 ("yaw", float(angles[k, 1]), lim.yaw_min, lim.yaw_max),
             ):
-                if value < lo - LIMIT_TOL or value > hi + LIMIT_TOL:
+                if not lo - LIMIT_TOL <= value <= hi + LIMIT_TOL:
                     out.append(
                         Violation(
                             step,
@@ -451,9 +453,11 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
                             value,
                         )
                     )
+        if not np.isfinite(angles).all():
+            continue
         positions = fk(model, angles, check_limits=False)
         deviation = float(np.linalg.norm(positions[-1] - trajectory.end_effector[i]))
-        if deviation > RIGID_TOL:
+        if not deviation <= RIGID_TOL:
             out.append(
                 Violation(
                     step,

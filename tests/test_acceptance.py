@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import geometry_reference
 from chooser_oracle import ChooserCase
 from clearance_oracle import scalar_min_clearance
 from vofabrik import (
@@ -39,6 +40,7 @@ from vofabrik import (
     record_from_outcome,
     run_and_report,
     scenario_path,
+    segment_segment_distance,
     solve,
     state_from_angles,
     validate_trajectory,
@@ -236,6 +238,28 @@ class TestAcceptance:
             f"obstacle clearance PASS - within {CLEARANCE_TOL} m of capsule_sphere_distance "
             f"on {states} shipped states, obstacles closest on {binding}"
         )
+
+    def test_scalar_geometry_matches_numpy_reference_on_shipped_plans(self, shipped_runs):
+        """Every link pair and every link-obstacle pair of every shipped state
+        gives the frozen numpy geometry's distance and witness points (==):
+        the validator's queries are bit-equal to the numpy code they
+        replaced. Both sides evaluate a pair in one canonical order, which
+        test_geometry checks under argument swap."""
+        pairs = 0
+        for name, (scenario, outcome) in shipped_runs.items():
+            for k, state in enumerate(outcome.trajectory):
+                capsules = link_capsules(scenario.chain, state)
+                for i, capsule in enumerate(capsules):
+                    for o in scenario.obstacles:
+                        want = geometry_reference.capsule_sphere_distance(capsule, o.center, o.radius)
+                        assert capsule_sphere_distance(capsule, o.center, o.radius) == want, (name, k, i)
+                    for other in capsules[i + 1 :]:
+                        want = geometry_reference.segment_segment_distance(capsule.axis, other.axis)
+                        got = segment_segment_distance(capsule.axis, other.axis)
+                        assert got[0] == want[0], (name, k, i)
+                        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+                        pairs += 1
+        print(f"scalar geometry PASS - {pairs} link pairs and every obstacle pair == the numpy reference")
 
     def test_criterion_5_reduces_to_plain_fabrik_without_obstacles(self):
         """No obstacles + unlimited joints: both solvers emit bit-identical states."""

@@ -1,6 +1,7 @@
 """The package's public surface: every name the benchmark scripts call is
 exported, and the quick demos run to completion."""
 
+import ast
 import os
 import re
 import subprocess
@@ -26,6 +27,29 @@ def test_benchmark_names_are_exported():
     names = benchmark_names()
     assert {"plan", "solve", "ik_phase", "min_clearance"} <= names
     assert sorted(names - set(vofabrik.__all__)) == []
+
+
+def test_validator_uses_no_planner_name():
+    """validate_trajectory audits the planner, so neither it nor any harness
+    function it reaches may use a name imported from the planner module."""
+    tree = ast.parse((ROOT / "src" / "vofabrik" / "harness.py").read_text())
+    planner_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "planner":
+                planner_names.update(alias.asname or alias.name for alias in node.names)
+            elif node.module is None:
+                planner_names.update(alias.asname or alias.name for alias in node.names if alias.name == "planner")
+    assert {"plan", "min_clearance"} <= planner_names
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["validate_trajectory"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert not used & planner_names, (name, sorted(used & planner_names))
+        todo.extend(sorted((used & functions.keys()) - reached))
+    assert {"validate_trajectory", "_clearance_violations"} <= reached
 
 
 # 04 plans the full cavity scenario (about 10 s); the acceptance tests

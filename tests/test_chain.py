@@ -312,6 +312,14 @@ class TestChainState:
         with pytest.raises(InconsistentPositions):
             state.validate(model)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_validate_rejects_infinite_angles(self, value):
+        model = straight_chain(4)
+        state = state_from_angles(model, np.zeros((4, 2)))
+        state.angles[2, 1] = value
+        with pytest.raises(InconsistentPositions, match="finite"):
+            state.validate(model)
+
     def test_copy_is_independent(self):
         model = straight_chain(3)
         state = state_from_angles(model, np.zeros((3, 2)))

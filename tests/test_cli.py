@@ -105,6 +105,21 @@ class TestValidate:
         assert "joint_limit" in out
         assert "rigid_link" in out
 
+    def test_non_finite_angle_fails_without_a_traceback(self, planar_2link, tmp_path, capsys):
+        main(["run", "--scenario", planar_2link, "--out-dir", str(tmp_path)])
+        trajectory = tmp_path / "planar_2link_vofabrik_trajectory.csv"
+        rows = list(csv.reader(trajectory.read_text().splitlines()))
+        rows[2][2] = "nan"  # pitch of joint 0, step 1
+        rows[3][5] = "-inf"  # yaw of joint 1, step 2
+        with open(trajectory, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        code = main(["validate", "--scenario", planar_2link, "--trajectory", str(trajectory)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "step 1: joint_limit: joint 0 pitch nan" in out
+        assert "step 2: joint_limit: joint 1 yaw -inf" in out
+        assert "2 violations" in out
+
     def test_goal_miss_fails_even_without_violations(self, planar_3link, tmp_path, capsys):
         main(["run", "--scenario", planar_3link, "--out-dir", str(tmp_path), "--set", "max_steps=2"])
         trajectory = tmp_path / "planar_3link_vofabrik_trajectory.csv"

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geometry_reference
 from vofabrik.geometry import (
     Capsule3,
     DegenerateSegment,
@@ -32,6 +33,96 @@ def sampled_segment_distance(s1: Segment3, s2: Segment3, n: int = 1001) -> float
     p2 = s2.a[None, :] + t[:, None] * (s2.b - s2.a)[None, :]
     d2 = np.sum((p1[:, None, :] - p2[None, :, :]) ** 2, axis=2)
     return float(np.sqrt(d2.min()))
+
+
+def reference_pairs(count: int, seed: int = 2024):
+    """Seeded segment pairs at scales from 1e-3 to 1e3, cycling through six
+    kinds: general, near-parallel, exactly parallel, collinear, touching
+    (the second starts on the first) and sharing an endpoint. Exactly
+    parallel and collinear pairs use small integers times a power of two,
+    so their directions are exact multiples of each other."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        a1, b1, a2, b2 = rng.normal(size=(4, 3)) * scale
+        kind = i % 6
+        if kind == 1:
+            b2 = a2 + (b1 - a1) * rng.uniform(-2.0, 2.0) + rng.normal(size=3) * scale * 1e-9
+        elif kind in (2, 3):
+            unit = 2.0 ** round(math.log2(scale)) / 8.0
+            a1, d, a2 = rng.integers(-8, 9, size=(3, 3)) * unit
+            if kind == 3:
+                a2 = a1 + d * int(rng.integers(-3, 4))
+            b1, b2 = a1 + d, a2 + d * int(rng.choice([-2, -1, 1, 3]))
+        elif kind == 4:
+            a2 = a1 + (b1 - a1) * rng.uniform(0.0, 1.0)
+        elif kind == 5:
+            a2 = (a1, b1)[i % 2].copy()
+        yield a1, b1, a2, b2, rng.normal(size=3) * scale
+
+
+class TestMatchesNumpyReference:
+    """The float-triple queries against tests/geometry_reference.py, the
+    numpy code they replaced."""
+
+    def test_segment_pairs(self):
+        # distance and both witness points, in both argument orders
+        built = 0
+        for a1, b1, a2, b2, _ in reference_pairs(3000):
+            try:
+                s1, s2 = Segment3(a1, b1), Segment3(a2, b2)
+            except DegenerateSegment:
+                continue
+            for x, y in ((s1, s2), (s2, s1)):
+                want = geometry_reference.segment_segment_distance(x, y)
+                got = segment_segment_distance(x, y)
+                assert got[0] == want[0], (x, y, got, want)
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), (x, y, got, want)
+                assert capsule_capsule_distance(Capsule3(x, 0.25), Capsule3(y, 0.5)) == want[0] - 0.25 - 0.5
+            built += 1
+        assert built > 2900
+
+    def test_integer_pairs_are_exactly_parallel(self):
+        # so they reach the parallel branch (denom == 0) of the kernel
+        checked = 0
+        for i, (a1, b1, a2, b2, _) in enumerate(reference_pairs(600)):
+            if i % 6 in (2, 3) and np.linalg.norm(b2 - a2) > 0.0 and np.linalg.norm(b1 - a1) > 0.0:
+                assert not np.cross(b1 - a1, b2 - a2).any()
+                checked += 1
+        assert checked > 150
+
+    def test_points_and_spheres(self):
+        for a1, b1, _, _, p in reference_pairs(1200):
+            try:
+                s = Segment3(a1, b1)
+            except DegenerateSegment:
+                continue
+            # the point itself, an endpoint, and a point on the segment
+            for q in (p, a1, 0.5 * (a1 + b1)):
+                assert np.array_equal(
+                    closest_point_on_segment(q, s), geometry_reference.closest_point_on_segment(q, s)
+                )
+                cap = Capsule3(s, 0.125)
+                for r in (0.0, 0.3):
+                    got = capsule_sphere_distance(cap, q, r)
+                    assert got == geometry_reference.capsule_sphere_distance(cap, q, r)
+
+    def test_public_argument_checks_stay(self):
+        s = Segment3((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            closest_point_on_segment((np.nan, 0.0, 0.0), s)
+        with pytest.raises(ValueError, match="3-vector"):
+            capsule_sphere_distance(Capsule3(s, 0.1), (0.0, 0.0), 0.1)
+        with pytest.raises(ValueError, match="radius"):
+            capsule_sphere_distance(Capsule3(s, 0.1), (0.0, 1.0, 0.0), -0.1)
+
+    def test_witness_points_are_arrays(self):
+        s1 = Segment3((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+        s2 = Segment3((0.0, 1.0, 0.0), (1.0, 1.0, 1.0))
+        _, w1, w2 = segment_segment_distance(s1, s2)
+        q = closest_point_on_segment((2.0, 0.0, 0.0), s1)
+        for w in (w1, w2, q):
+            assert isinstance(w, np.ndarray) and w.shape == (3,) and w.dtype == float
 
 
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

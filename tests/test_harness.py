@@ -449,6 +449,31 @@ class TestValidateTrajectory:
         assert [v.kind for v in violations] == ["self_clearance"]
         assert "link 0" in violations[0].detail and "link 2" in violations[0].detail
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_is_a_joint_limit_violation(self, value):
+        # the row has no pose: its limit check fails and it gets no other
+        # check; the finite rows around it are checked as usual
+        model = self.planar_model()
+        record = self.record_for(model, np.zeros((3, 3, 2)))
+        record.angles[1, 2, 1] = value
+        record.end_effector[2, 1] += 1.0
+        violations = validate_trajectory(model, record, [SphereObstacle(np.array([0.15, 0.0, 0.0]), 0.03)])
+        by_step = {s: [v.kind for v in violations if v.step == s] for s in range(3)}
+        assert by_step == {
+            0: ["obstacle_clearance"],
+            1: ["joint_limit"],
+            2: ["rigid_link", "obstacle_clearance"],
+        }
+        limit = violations[1]
+        assert "joint 2 yaw" in limit.detail
+        assert np.array_equal(limit.value, value, equal_nan=True)
+
+    def test_non_finite_end_effector_is_a_rigid_link_violation(self):
+        model = self.planar_model()
+        record = self.record_for(model, np.zeros((1, 3, 2)))
+        record.end_effector[0, 2] = np.nan
+        assert [v.kind for v in validate_trajectory(model, record, [])] == ["rigid_link"]
+
     def test_violation_step_uses_recorded_index(self):
         model = self.planar_model()
         angles = np.zeros((2, 3, 2))
