@@ -22,9 +22,9 @@ Those are the frames the previous forward phase built, so only the first
 iteration computes them from the state's angles.
 
 The sweep carries positions and frames as Python float tuples and builds
-the state's arrays once per iteration. Each link norm and the residual
-round as np.linalg.norm does, through geometry.fma, so the sweep is bit
-for bit the numpy sweep it replaced.
+the state's arrays only for on_iteration and for the outcome. Each link
+norm and the residual round as np.linalg.norm does, through geometry.fma,
+so the sweep is bit for bit the numpy sweep it replaced.
 """
 
 from __future__ import annotations
@@ -184,18 +184,17 @@ def solve(
     p = list(map(tuple, state.positions.tolist()))
     # later iterations reuse the frames the previous forward phase built
     frames = joint_frames(model, state.angles)
+    status = SolveStatus.MAX_ITERATIONS if reachable else SolveStatus.INFEASIBLE
     for iteration in range(1, budget + 1):
         _backward_phase(model, p, frames, target, chooser)
         backward_snapshot = np.array(p) if on_iteration is not None else None
         angles, frames = _forward_phase(model, p, chooser)
-        current = ChainState(np.array(p), np.array(angles))
         x, y, z = p[-1]
         dx, dy, dz = x - tx, y - ty, z - tz
         residual = math.sqrt(fma(dz, dz, fma(dy, dy, dx * dx)))
         if on_iteration is not None:
-            on_iteration(iteration, backward_snapshot, current)
+            on_iteration(iteration, backward_snapshot, ChainState(np.array(p), np.array(angles)))
         if reachable and residual < cfg.epsilon:
-            return SolveOutcome(SolveStatus.CONVERGED, current, iteration, residual)
-
-    status = SolveStatus.MAX_ITERATIONS if reachable else SolveStatus.INFEASIBLE
-    return SolveOutcome(status, current, budget, residual)
+            status = SolveStatus.CONVERGED
+            break
+    return SolveOutcome(status, ChainState(np.array(p), np.array(angles)), iteration, residual)

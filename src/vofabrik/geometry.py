@@ -199,10 +199,15 @@ def capsule_sphere_distance(c: Capsule3, center, radius: float) -> float:
     """
     if radius < 0.0:
         raise ValueError(f"sphere radius must be >= 0, got {radius}")
-    p = as_vec3(center).tolist()
-    a = c.axis.a.tolist()
-    d = _sub(c.axis.b.tolist(), a)
-    return _norm(_sub(p, _project(p, a, d, _dot(d, d)))) - c.radius - radius
+    return _segment_point_distances(c.axis, [as_vec3(center).tolist()])[0] - c.radius - radius
+
+
+def _segment_point_distances(s: Segment3, points) -> list:
+    # Distance from each float triple in points to the segment s
+    a = s.a.tolist()
+    d = _sub(s.b.tolist(), a)
+    dd = _dot(d, d)
+    return [_norm(_sub(p, _project(p, a, d, dd))) for p in points]
 
 
 def capsule_capsule_distance(c1: Capsule3, c2: Capsule3) -> float:

@@ -58,7 +58,7 @@ from .chain import (
     link_capsules,
     state_from_angles,
 )
-from .geometry import as_point, capsule_capsule_distance, capsule_sphere_distance
+from .geometry import _segment_point_distances, as_point, as_vec3, capsule_capsule_distance
 from .planner import PlannerConfig, PlanStatus, min_clearance, plan
 from .velocity_obstacles import SphereObstacle
 
@@ -435,6 +435,7 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
     fails its limit check, and its row gets no other check, since it has no
     pose.
     """
+    centers = [as_vec3(o.center).tolist() for o in obstacles]
     out = []
     for i in range(trajectory.steps.shape[0]):
         step = int(trajectory.steps[i])
@@ -467,17 +468,19 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
                     deviation,
                 )
             )
-        out.extend(_clearance_violations(model, positions, angles, obstacles, step))
+        out.extend(_clearance_violations(model, positions, angles, obstacles, centers, step))
     return out
 
 
-def _clearance_violations(model, positions, angles, obstacles, step):
-    """Obstacle and self-collision checks for one state, via capsules."""
+def _clearance_violations(model, positions, angles, obstacles, centers, step):
+    """Obstacle and self-collision checks for one state, via capsules;
+    centers are the obstacles' centers as float triples."""
     capsules = link_capsules(model, ChainState(positions, angles))
     out = []
     for k, capsule in enumerate(capsules):
-        for j, obstacle in enumerate(obstacles):
-            clearance = capsule_sphere_distance(capsule, obstacle.center, obstacle.radius)
+        gaps = _segment_point_distances(capsule.axis, centers)
+        for j, (obstacle, gap) in enumerate(zip(obstacles, gaps)):
+            clearance = gap - capsule.radius - obstacle.radius
             if clearance <= 0.0:
                 out.append(
                     Violation(

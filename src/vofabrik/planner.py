@@ -2,22 +2,23 @@
 the solver's angle chooser, plus the outer loop stepping the end effector
 toward the goal under velocity-obstacle guidance.
 
-Safe angles are computed by conservative rasterization. For each sphere
-that could touch the link (real obstacles plus virtual self-collision
-spheres at the closest points of non-adjacent links), the candidate
-(pitch, yaw) grid over the joint-limit rectangle is scanned in a window
-around the sphere's direction and cells whose link capsule would come
-within the touch threshold are marked forbidden. The mark threshold is
+Safe angles come from a conservative cell test. For each sphere that
+could touch the link (real obstacles plus virtual self-collision spheres
+at the closest points of non-adjacent links), the candidate (pitch, yaw)
+grid over the joint-limit rectangle has a window of cells around the
+sphere's direction, and a cell of it is forbidden when the link capsule at
+the cell's center would come within the touch threshold. The threshold is
 inflated by the worst-case variation of the clearance function across one
 cell (link length x half cell diagonal), which makes the forbidden region
-a rigorous superset of the truly colliding set: any angle in an unmarked
-cell keeps the capsule strictly clear of the inflated sphere. Where a
-joint's pitch limits pass +-pi/2, the windows around the mirrored angles
-(+-pi - pitch, yaw + pi), which aim the link the same way, are scanned too.
-When the desired angles fall in a forbidden cell, the nearest safe point is
-searched over the hit windows' union box grown by one cell on each side.
+a rigorous superset of the truly colliding set: any angle in a cell the
+test passes keeps the capsule strictly clear of the inflated sphere. Where
+a joint's pitch limits pass +-pi/2, windows around the mirrored angles
+(+-pi - pitch, yaw + pi), which aim the link the same way, are kept too.
+Cells are tested only as the answer needs them: the clamped desired cell
+first, and only when it is forbidden a search for the nearest safe cell
+that jumps over each forbidden run by bisection.
 
-The backward half-iteration reuses the same rasterizer by reflecting
+The backward half-iteration reuses the same windows by reflecting
 sphere centers through the pivot: the link then extends from the pivot
 toward the reflected center exactly when the real link (which extends
 away from the pivot) would approach the real center.
@@ -28,12 +29,13 @@ planner reproduces plain FABRIK bit for bit.
 
 Each visit first gathers the spheres within reach in one pass in plain
 Python floats, reading the sweep's float tuples; most visits keep none
-and end as a limit clamp before any array is built. Its dot products are
-summed in the order numpy's einsum sums a row of three, so the spheres
-are bit-equal to a numpy evaluation. The rasterizer slices each joint's
-cell-center cosine and sine tables, built once per (limits, resolution)
-and shared read-only by every chooser, and rounds each sphere's 3-vector
-dot products with geometry.fma, as numpy's fused dot products do.
+and end as a limit clamp. Its dot products are summed in the order
+numpy's einsum sums a row of three, so the spheres are bit-equal to a
+numpy evaluation. The windows round each sphere's 3-vector dot products
+with geometry.fma, as numpy's fused dot products do, and the cell test
+reads each joint's cell-center cosines and sines from float tables built
+once per (limits, resolution) and shared by every chooser. A visit builds
+no array.
 
 min_clearance evaluates all link-obstacle pairs in one batch and all
 non-adjacent link pairs in one segment-segment kernel that repeats
@@ -146,9 +148,8 @@ class PlanOutcome:
 @functools.lru_cache(maxsize=256)
 def _axis_grid(lo: float, hi: float, resolution: float):
     """One axis of a joint's cell grid over [lo, hi], cells at most
-    `resolution` wide: the cell edges as an array and as a tuple (for
-    bisect), and the cosine and sine of the cell centers. The arrays are
-    read-only, because every chooser with these limits shares them."""
+    `resolution` wide, as float tuples shared by every chooser: the cell
+    edges and centers, and np.cos and np.sin of the centers."""
     lo, hi = float(lo), float(hi)
     if hi <= lo:
         edges, centers = np.array([lo, lo]), np.array([lo])
@@ -157,10 +158,7 @@ def _axis_grid(lo: float, hi: float, resolution: float):
         edges = lo + np.arange(n + 1) * ((hi - lo) / n)
         edges[-1] = hi
         centers = 0.5 * (edges[:-1] + edges[1:])
-    cos, sin = np.cos(centers), np.sin(centers)
-    for table in (edges, cos, sin):
-        table.flags.writeable = False
-    return edges, tuple(edges.tolist()), cos, sin
+    return tuple(tuple(a.tolist()) for a in (edges, centers, np.cos(centers), np.sin(centers)))
 
 
 def _window_spans(center: float, halfwidth: float, lo: float, hi: float):
@@ -197,20 +195,21 @@ def _loosen(bound: float) -> float:
     return bound * (1.0 + 1e-9) + 1e-12
 
 
-def _hit_cells(cp, sp, cy, sy, proj, length, reach):
-    """Cells whose link segment passes within `reach` of a sphere center.
+def _hit(cp, sp, cy, sy, window, length):
+    """Whether the link at the cell (cos and sin of its pitch, of its yaw)
+    passes within reach of the window's sphere: s projects the center,
+    (rf, rl, ru) on the frame triad, on cos(p)cos(y)*forward +
+    cos(p)sin(y)*lateral + sin(p)*up, and rr is its squared norm."""
+    rf, rl, ru, rr, reach2 = window[4:]
+    s = (cp * rf) * cy + (cp * rl) * sy + sp * ru
+    t = min(max(s, 0.0), length)
+    return rr - 2.0 * t * s + t * t <= reach2
 
-    cp, sp = cos and sin of the window's pitch cell centers, cy, sy of its
-    yaw cell centers; proj = the center relative to the pivot, projected
-    on the joint frame triad (forward, lateral, up) plus its squared norm.
-    The candidate link direction at cell center (p, y) is
-    cos(p)cos(y)*forward + cos(p)sin(y)*lateral + sin(p)*up.
-    """
-    rf, rl, ru, rr = proj
-    s = (cp * rf)[:, None] * cy + (cp * rl)[:, None] * sy + (sp * ru)[:, None]
-    t = np.clip(s, 0.0, length)
-    d2 = rr - 2.0 * t * s + t * t
-    return d2 <= reach * reach
+
+def _term(edges, k, d):
+    """The point of cell k nearest d, and its squared distance from d."""
+    v = min(max(d, edges[k]), edges[k + 1])
+    return v, (v - d) * (v - d)
 
 
 class ConeConstraints:
@@ -225,10 +224,10 @@ class ConeConstraints:
     changes after it is built: a sweep's state lives in that function.
 
     Each visit first gathers the spheres within reach in one pass in plain
-    Python floats (_touch_spheres), then rasterizes only those (_rasterize)
-    from the joint's cached cosine and sine tables. Positions, the pivot
-    and the frame arrive as the sweep's float tuples; every 3-vector dot
-    product is rounded with geometry.fma, as np.dot does.
+    Python floats (_touch_spheres), then computes only their cell windows
+    (_windows) and tests only the cells its pick needs (_nearest_safe).
+    Positions, the pivot and the frame arrive as the sweep's float tuples;
+    every 3-vector dot product is rounded with geometry.fma, as np.dot does.
     """
 
     def __init__(self, model: ChainModel, obstacles: Sequence[SphereObstacle], cfg: PlannerConfig):
@@ -279,11 +278,10 @@ class ConeConstraints:
 
         def choose(joint, desired, limits, frame, pivot):
             spheres = self._touch_spheres(phase, joint, pivot, links)
-            hits = self._rasterize(joint, frame, pivot, spheres) if spheres else None
-            if not hits:
+            if not spheres:
                 return clamp_to_limits(desired.pitch, desired.yaw, limits)
             try:
-                return self._nearest_safe(joint, limits, desired, hits)
+                return self._nearest_safe(joint, limits, desired, self._windows(joint, frame, pivot, spheres))
             except SafeSetEmpty:
                 raise SafeSetEmpty(joint=joint, phase=phase) from None
 
@@ -343,16 +341,18 @@ class ConeConstraints:
             spheres.append((x, y, z, touch))
         return spheres
 
-    def _rasterize(self, joint, frame, pivot, spheres):
-        """Forbidden cells per sphere: list of (i0, j0, hit bool array)."""
-        (_, pedges, pcos, psin), (_, yedges, ycos, ysin) = self.grids[joint]
+    def _windows(self, joint, frame, pivot, spheres):
+        """Per sphere, windows (i0, i1, j0, j1, rf, rl, ru, rr, reach**2):
+        the pitch and yaw cell ranges _hit may mark, and its inputs. A
+        sphere holding the pivot forbids every cell: SafeSetEmpty."""
+        (pedges, _, _, _), (yedges, _, _, _) = self.grids[joint]
         length, lip = self._lengths[joint], self._lips[joint]
         fx, fy, fz = frame.forward
         ux, uy, uz = frame.up
         # forward, lateral (up x forward), up
         triad = ((fx, fy, fz), (uy * fz - uz * fy, uz * fx - ux * fz, ux * fy - uy * fx), (ux, uy, uz))
         px, py, pz = pivot
-        hits = []
+        windows = []
         for x, y, z, touch in spheres:
             rx, ry, rz = x - px, y - py, z - pz
             rr = fma(rz, rz, fma(ry, ry, rx * rx))
@@ -361,22 +361,12 @@ class ConeConstraints:
             if dist > length + reach:
                 continue
             if dist <= reach:
-                # pivot itself within touch: every direction collides
-                hits.append((0, 0, np.ones((len(pcos), len(ycos)), dtype=bool)))
-                continue
+                raise SafeSetEmpty()
             if dist * dist <= length * length + reach * reach:
                 beta = math.asin(reach / dist)
             else:
-                beta = math.acos(
-                    min(
-                        max(
-                            (dist * dist + length * length - reach * reach)
-                            / (2.0 * dist * length),
-                            -1.0,
-                        ),
-                        1.0,
-                    )
-                )
+                cos_beta = (dist * dist + length * length - reach * reach) / (2.0 * dist * length)
+                beta = math.acos(min(max(cos_beta, -1.0), 1.0))
             # rel and its unit axis on the triad
             ax, ay, az = rx / dist, ry / dist, rz / dist
             rf, rl, ru = (fma(rz, tz, fma(ry, ty, rx * tx)) for tx, ty, tz in triad)
@@ -404,52 +394,75 @@ class ConeConstraints:
                     continue
                 for s_lo, s_hi in yaw_spans:
                     j0, j1 = _index_range(yedges, s_lo, s_hi)
-                    if j1 <= j0:
-                        continue
-                    hit = _hit_cells(
-                        pcos[i0:i1], psin[i0:i1], ycos[j0:j1], ysin[j0:j1], (rf, rl, ru, rr), length, reach
-                    )
-                    if hit.any():
-                        hits.append((i0, j0, hit))
-        return hits
+                    if j1 > j0:
+                        windows.append((i0, i1, j0, j1, rf, rl, ru, rr, reach * reach))
+        return windows
 
-    def _nearest_safe(self, joint, limits, desired, hits):
-        """Desired angles clamped to the limits, or the closest point of a
-        safe cell to the raw desired angles.
+    def _nearest_safe(self, joint, limits, desired, windows):
+        """The desired angles clamped to the limits if their cell is safe,
+        as most are, or else the closest point of a safe cell to the raw
+        desired angles, ties broken on (pitch, yaw): lines along the longer
+        axis u, outward from the clamped one while a line may hold a nearer
+        point, each walked both ways from the clamped cell to a safe one."""
+        grids, length = self.grids[joint], self._lengths[joint]
+        (_, _, pcos, psin), (_, _, ycos, ysin) = grids
+        clamped = clamp_to_limits(desired.pitch, desired.yaw, limits)
+        u = int(len(grids[1][0]) >= len(grids[0][0]))
+        x, xo, uo = 1 - u, 2 - 2 * u, 2 * u  # window offsets of the axes' ranges
+        (xe, _, xcos, xsin), (ue, uc, _, _) = grids[x], grids[u]
+        xs, us = _cell_of(xe, clamped[x]), _cell_of(ue, clamped[u])
 
-        The clamped angles' cell is tested against each hit window, and
-        most visits end there. Otherwise the search runs on a boolean mask
-        over the union bounding box of the windows grown by one cell on
-        each side: every cell outside the union box is safe, so the nearest
-        point of the rest of the limit rectangle lies on the box's edge,
-        within its span, and that ring of cells holds it. Ties break on
-        (pitch, yaw).
-        """
-        (pe, pedges, _, _), (ye, yedges, _, _) = self.grids[joint]
-        p_clamp, y_clamp = clamp_to_limits(desired.pitch, desired.yaw, limits)
-        ci, cj = _cell_of(pedges, p_clamp), _cell_of(yedges, y_clamp)
-        if not any(
-            0 <= ci - hi < hit.shape[0] and 0 <= cj - hj < hit.shape[1] and hit[ci - hi, cj - hj]
-            for hi, hj, hit in hits
-        ):
-            return p_clamp, y_clamp
+        def marks(w, c, a):
+            i, j = (c, a) if u else (a, c)
+            return _hit(pcos[i], psin[i], ycos[j], ysin[j], w, length)
 
-        # the union box grown by one cell on each side, clipped to the grid
-        g0 = max(min(h[0] for h in hits) - 1, 0)
-        h0 = max(min(h[1] for h in hits) - 1, 0)
-        g1 = min(max(h[0] + h[2].shape[0] for h in hits) + 1, len(pe) - 1)
-        h1 = min(max(h[1] + h[2].shape[1] for h in hits) + 1, len(ye) - 1)
-        grown = np.zeros((g1 - g0, h1 - h0), dtype=bool)
-        for hi, hj, hit in hits:
-            grown[hi - g0 : hi - g0 + hit.shape[0], hj - h0 : hj - h0 + hit.shape[1]] |= hit
-        cp = np.minimum(np.maximum(desired.pitch, pe[g0:g1]), pe[g0 + 1 : g1 + 1])
-        cy = np.minimum(np.maximum(desired.yaw, ye[h0:h1]), ye[h0 + 1 : h1 + 1])
-        d2 = (cp - desired.pitch)[:, None] ** 2 + (cy - desired.yaw)[None, :] ** 2
-        d2[grown] = np.inf
-        best = d2.min()
-        if best == np.inf:
+        def marking(c, a):
+            found = (w for w in windows if w[xo] <= c < w[xo + 1] and w[uo] <= a < w[uo + 1] and marks(w, c, a))
+            return next(found, None)
+
+        if marking(xs, us) is None:
+            return clamped
+
+        def run_end(w, c, a, side):
+            # the end, from hit cell a in direction side, of w's run on line
+            # c: s is P cos + Q sin + const along it, so short of cell z,
+            # which holds the least s, cells from a hit and then miss; if z
+            # itself hits, so does every cell
+            end = w[uo + 1] - 1 if side > 0 else w[uo]
+            rf, rl, ru = w[4:7]
+            P, Q = (xcos[c] * rf, xcos[c] * rl) if u else (rf * xcos[c] + rl * xsin[c], ru)
+            least = math.atan2(-Q, -P)
+            z = _cell_of(ue, least) if ue[0] <= least <= ue[-1] else None
+            if z == a:
+                return end
+            m = z - side if z is not None and 0 < (z - a) * side <= (end - a) * side else end
+            good, bad = a, m + side
+            while abs(bad - good) > 1:
+                mid = (good + bad) // 2
+                good, bad = (mid, bad) if marks(w, c, mid) else (good, mid)
+            return good
+
+        def first_safe(c, a, side):
+            while 0 <= a < len(uc):
+                w = marking(c, a)
+                if w is None:
+                    return a
+                a = run_end(w, c, a, side) + side
+
+        nearest, best = _term(ue, us, desired[u])[1], (math.inf,)
+        for lines in (range(xs, -1, -1), range(xs + 1, len(xe) - 1)):
+            for c in lines:
+                xv, g = _term(xe, c, desired[x])
+                if g + nearest > best[0]:
+                    break
+                left = first_safe(c, us, -1)
+                for a in (left, left if left == us else first_safe(c, us + 1, 1)):
+                    if a is not None:
+                        uv, f = _term(ue, a, desired[u])
+                        best = min(best, (g + f, xv, uv) if u else (g + f, uv, xv))
+        if best[0] == math.inf:
             raise SafeSetEmpty()
-        return min((cp[i], cy[j]) for i, j in np.argwhere(d2 == best))
+        return best[1:]
 
 
 def ik_phase(

@@ -18,6 +18,12 @@ regions of the limit rectangle outside that box by rectangle subtraction.
 ConeConstraints must give the same spheres (==, after the backward
 reflection), the same cell-test inputs (==), the same hit windows
 (array_equal) and the same pick (==) on every visit.
+
+Last, MaskChooser: the chooser's rasterizer and search as they ran on
+boolean masks before the search became lazy, mirrored windows included:
+every window marked in full, then the nearest safe cell over the union box
+of the hit windows grown by one cell on each side. The lazy search must
+give its pick (==) on every visit.
 """
 
 import math
@@ -301,3 +307,91 @@ def rect_difference(rects, cut):
         if cyhi < yhi:
             out.append((mp_lo, mp_hi, cyhi, yhi))
     return out
+
+
+class MaskChooser:
+    """The mask rasterizer and grown-box search of one chooser. pick takes
+    the spheres the planner gathered for a visit and returns the pick, or
+    None where the search raised SafeSetEmpty."""
+
+    def __init__(self, model, cfg):
+        res = cfg.angular_resolution
+        self.grids = [
+            (axis_grid(lim.pitch_min, lim.pitch_max, res), axis_grid(lim.yaw_min, lim.yaw_max, res))
+            for lim in model.limits
+        ]
+        self.lengths = np.asarray(model.lengths, dtype=float)
+        self.lips = self.lengths * 0.5 * res * math.sqrt(2.0) * 1.0001
+
+    def rasterize(self, joint, frame, pivot, spheres):
+        """Forbidden cells per window: list of (i0, j0, hit bool array)."""
+        (pe, pc), (ye, yc) = self.grids[joint]
+        length, lip = float(self.lengths[joint]), float(self.lips[joint])
+        f, u = np.asarray(frame.forward), np.asarray(frame.up)
+        lat = np.array([u[1] * f[2] - u[2] * f[1], u[2] * f[0] - u[0] * f[2], u[0] * f[1] - u[1] * f[0]])
+        hits = []
+        for *center, touch in spheres:
+            rel = np.asarray(center) - pivot
+            dist = float(np.linalg.norm(rel))
+            reach = touch + lip
+            if dist > length + reach:
+                continue
+            if dist <= reach:
+                hits.append((0, 0, np.ones((len(pc), len(yc)), dtype=bool)))
+                continue
+            if dist * dist <= length * length + reach * reach:
+                beta = math.asin(reach / dist)
+            else:
+                beta = math.acos(min(max((dist * dist + length * length - reach * reach) / (2.0 * dist * length), -1.0), 1.0))
+            axis = rel / dist
+            pitch_c = math.asin(min(max(float(np.dot(axis, u)), -1.0), 1.0))
+            yaw_c = math.atan2(float(np.dot(axis, lat)), float(np.dot(axis, f)))
+            proj = (float(np.dot(rel, f)), float(np.dot(rel, lat)), float(np.dot(rel, u)), float(np.dot(rel, rel)))
+            centers = [(pitch_c, yaw_c, 1.0)]
+            if pe[0] < -0.5 * math.pi or pe[-1] > 0.5 * math.pi:
+                yaw_m = yaw_c - math.pi if yaw_c > 0.0 else yaw_c + math.pi
+                centers += [(math.pi - pitch_c, yaw_m, -1.0), (-math.pi - pitch_c, yaw_m, -1.0)]
+            for p_c, y_c, sign in centers:
+                p_lo, p_hi = max(p_c - beta, pe[0]), min(p_c + beta, pe[-1])
+                if p_lo > p_hi:
+                    continue
+                cos_min = min(sign * math.cos(p_lo), sign * math.cos(p_hi))
+                if cos_min < 1e-9:
+                    yaw_spans = [(ye[0], ye[-1])]
+                else:
+                    yaw_spans = window_spans(y_c, beta / cos_min, ye[0], ye[-1])
+                i0, i1 = index_range(pe, p_lo, p_hi)
+                for s_lo, s_hi in yaw_spans:
+                    j0, j1 = index_range(ye, s_lo, s_hi)
+                    if i1 <= i0 or j1 <= j0:
+                        continue
+                    hit = hit_cells(pc[i0:i1], yc[j0:j1], proj, length, reach)
+                    if hit.any():
+                        hits.append((i0, j0, hit))
+        return hits
+
+    def pick(self, joint, desired, limits, frame, pivot, spheres):
+        p_clamp, y_clamp = clamp_to_limits(desired.pitch, desired.yaw, limits)
+        hits = self.rasterize(joint, frame, np.asarray(pivot), spheres) if spheres else []
+        (pe, _), (ye, _) = self.grids[joint]
+        ci, cj = cell_of(pe, p_clamp), cell_of(ye, y_clamp)
+        if not any(
+            0 <= ci - hi < hit.shape[0] and 0 <= cj - hj < hit.shape[1] and hit[ci - hi, cj - hj]
+            for hi, hj, hit in hits
+        ):
+            return p_clamp, y_clamp
+        g0 = max(min(h[0] for h in hits) - 1, 0)
+        h0 = max(min(h[1] for h in hits) - 1, 0)
+        g1 = min(max(h[0] + h[2].shape[0] for h in hits) + 1, len(pe) - 1)
+        h1 = min(max(h[1] + h[2].shape[1] for h in hits) + 1, len(ye) - 1)
+        grown = np.zeros((g1 - g0, h1 - h0), dtype=bool)
+        for hi, hj, hit in hits:
+            grown[hi - g0 : hi - g0 + hit.shape[0], hj - h0 : hj - h0 + hit.shape[1]] |= hit
+        cp = np.minimum(np.maximum(desired.pitch, pe[g0:g1]), pe[g0 + 1 : g1 + 1])
+        cy = np.minimum(np.maximum(desired.yaw, ye[h0:h1]), ye[h0 + 1 : h1 + 1])
+        d2 = (cp - desired.pitch)[:, None] ** 2 + (cy - desired.yaw)[None, :] ** 2
+        d2[grown] = np.inf
+        best = d2.min()
+        if best == np.inf:
+            return None
+        return min((cp[i], cy[j]) for i, j in np.argwhere(d2 == best))

@@ -52,6 +52,33 @@ def test_validator_uses_no_planner_name():
     assert {"validate_trajectory", "_clearance_violations"} <= reached
 
 
+def test_chooser_visit_path_uses_no_numpy():
+    """A chooser visit runs in plain floats: ConeConstraints.__call__, the
+    choose function it returns, and every method or package function they
+    reach name no np attribute."""
+    functions = {}
+    for module in ("planner", "fabrik", "geometry"):
+        for node in ast.parse((ROOT / "src" / "vofabrik" / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, node)
+            elif isinstance(node, ast.ClassDef) and node.name == "ConeConstraints":
+                functions.update({f"self.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)})
+
+    def attributes(node, owner):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == owner}
+
+    reached, todo = set(), ["self.__call__"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        node = functions[name]
+        assert not attributes(node, "np"), (name, sorted(attributes(node, "np")))
+        used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        used |= {f"self.{a}" for a in attributes(node, "self")}
+        todo.extend(sorted((used & functions.keys()) - reached))
+    assert {"self._touch_spheres", "self._windows", "self._nearest_safe", "_hit", "clamp_to_limits", "fma"} <= reached
+
+
 # 04 plans the full cavity scenario (about 10 s); the acceptance tests
 # cover that plan
 @pytest.mark.parametrize(

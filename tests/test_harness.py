@@ -1,6 +1,7 @@
 """Scenario loading, trajectory CSV round-trips, and the independent validator."""
 
 import json
+import re
 import warnings
 from dataclasses import asdict, fields, is_dataclass
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from vofabrik import (
     ChainModel,
+    ChainState,
     JointLimits,
     LinkSpec,
     ParseError,
@@ -20,8 +22,10 @@ from vofabrik import (
     SphereObstacle,
     TrajectoryRecord,
     ValidationError,
+    capsule_sphere_distance,
     config_with_overrides,
     fk,
+    link_capsules,
     load_scenario,
     make_report,
     run_and_report,
@@ -419,6 +423,27 @@ class TestValidateTrajectory:
         assert v.step == 0
         assert "link 1" in v.detail
         assert v.value < 0
+
+    def test_obstacle_violation_values_are_capsule_sphere_distance(self):
+        # the centers are read once per call, but every pair's value is
+        # still capsule_sphere_distance's, bit for bit
+        model = self.planar_model()
+        rng = np.random.default_rng(21)
+        angles = np.zeros((12, 3, 2))
+        angles[:, :, 1] = rng.uniform(-1.0, 1.0, size=(12, 3))
+        record = self.record_for(model, angles)
+        obstacles = [
+            SphereObstacle(rng.uniform((-0.1, -0.2, -0.02), (0.3, 0.2, 0.02)), float(rng.uniform(0.02, 0.08)))
+            for _ in range(8)
+        ]
+        violations = validate_trajectory(model, record, obstacles)
+        found = [v for v in violations if v.kind == "obstacle_clearance"]
+        assert len(found) >= 5
+        for v in found:
+            k, j = map(int, re.fullmatch(r"link (\d+) overlaps obstacle (\d+) .*", v.detail).groups())
+            state = ChainState(fk(model, record.angles[v.step]), record.angles[v.step])
+            capsule = link_capsules(model, state)[k]
+            assert v.value == capsule_sphere_distance(capsule, obstacles[j].center, obstacles[j].radius)
 
     def test_rigid_link_violation_when_ee_edited(self):
         model = self.planar_model()

@@ -1,5 +1,5 @@
-"""Planner tests: the angle chooser's safe region, virtual self-spheres
-and rasterization, checked on the chooser plan() runs, the outer
+"""Planner tests: the angle chooser's safe region, virtual self-spheres,
+cell windows and lazy search, checked on the chooser plan() runs, the outer
 goal-stepping loop, and random small scenarios from load to validation."""
 
 import math
@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import vofabrik.geometry
 import vofabrik.planner
-from chooser_oracle import ChooserCase
-from chooser_reference import ReferenceNarrowPhase
+from chooser_oracle import ChooserCase, link_directions
+from chooser_reference import MaskChooser, ReferenceNarrowPhase
 from clearance_oracle import scalar_min_clearance
 from vofabrik.chain import (
     ChainModel,
@@ -26,7 +26,7 @@ from vofabrik.chain import (
     joint_frames,
     state_from_angles,
 )
-from vofabrik.fabrik import FabrikConfig, Phase, solve
+from vofabrik.fabrik import FabrikConfig, Phase, clamp_to_limits, solve
 from vofabrik.geometry import DegenerateSegment
 from vofabrik.harness import (
     ParseError,
@@ -170,6 +170,18 @@ class TestAngularRegion:
             assert got[axis] < 0.0 and got[1 - axis] == 0.0
             mirrored = (-got[0] + 0.0, -got[1] + 0.0)
             assert choose(model, [obstacle], Phase.FORWARD, 0, mirrored) == mirrored
+
+    def test_tie_across_lines_prefers_smaller_pitch(self):
+        # equal, symmetric pitch and yaw grids and a sphere dead ahead:
+        # (0, -e) on the desired angles' own line and (-e, 0) on a line
+        # farther out are equally near, so the search must not stop at a
+        # line whose cross term only equals the best distance
+        model = make_chain(2, limit=JointLimits.symmetric(math.radians(41.0), math.radians(41.0)))
+        obstacle = SphereObstacle(np.array([0.065, 0.0, 0.0]), 0.02)
+        got = choose(model, [obstacle], Phase.FORWARD, 0, (0.0, 0.0))
+        assert got[0] < 0.0 and got[1] == 0.0
+        swapped = (0.0, got[0])
+        assert choose(model, [obstacle], Phase.FORWARD, 0, swapped) == swapped
 
     def test_zero_width_rectangle_is_usable(self):
         model = make_chain(2, limit=JointLimits(0.0, 0.0, -1.0, 1.0))
@@ -808,32 +820,40 @@ class TestFloatFacts:
         res = PlannerConfig().angular_resolution
         rng = np.random.default_rng(13)
         for lo, hi in ((-math.pi, math.pi), (-1.4, 1.4), (-math.pi / 2, 2.0), (0.0, 0.0)):
-            edges, _, cos, sin = vofabrik.planner._axis_grid(lo, hi, res)
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            assert not (cos.flags.writeable or sin.flags.writeable or edges.flags.writeable)
+            tables = vofabrik.planner._axis_grid(lo, hi, res)
+            edges, centers, cos, sin = (np.array(t) for t in tables)
+            assert all(type(t) is tuple and all(type(v) is float for v in t) for t in tables)
+            assert np.array_equal(centers, 0.5 * (edges[:-1] + edges[1:]))
             for _ in range(200):
                 i, j = sorted(rng.integers(0, len(centers) + 1, size=2))
                 assert np.array_equal(cos[i:j], np.cos(centers[i:j])) and np.array_equal(
                     sin[i:j], np.sin(centers[i:j])
-                ), "np.cos / np.sin of a slice must equal the same slice of the whole table"
+                ), "np.cos / np.sin of a window must equal the same window of the float tables"
+
+
+def expand(window, grids, length):
+    """A window's cells, marked cell by cell through the planner's cell test."""
+    (_, _, pcos, psin), (_, _, ycos, ysin) = grids
+    i0, i1, j0, j1 = window[:4]
+    return np.array(
+        [
+            [vofabrik.planner._hit(pcos[i], psin[i], ycos[j], ysin[j], window, length) for j in range(j0, j1)]
+            for i in range(i0, i1)
+        ],
+        dtype=bool,
+    ).reshape(i1 - i0, j1 - j0)
 
 
 class CheckedChooser(ConeConstraints):
-    """The planner's chooser, checking on every visit that its plain-float
-    narrow phase gives the same spheres (==), the same inputs to each
-    window's cell test (==, the trig tables against np.cos / np.sin of the
-    window) and the same hit windows (array_equal) as the frozen numpy
-    reference in chooser_reference, and that its grown-box search gives
-    the same pick (==) as the reference's union box and outside regions."""
+    """The planner's chooser, checking on every visit against the frozen
+    numpy reference in chooser_reference: the same spheres (==), the same
+    inputs to each window's cell test (==, the float tables against np.cos
+    / np.sin of the window), each window expanded cell by cell through the
+    planner's cell test equal to the reference's hit windows (array_equal),
+    and the same pick (==) as the reference's union box and outside
+    regions, with SafeSetEmpty in the same cases."""
 
     visits = rejected = rasterized = outside = 0
-    cell_tests = []
-
-    @staticmethod
-    def recording_hit_cells(*args, hit_cells=vofabrik.planner._hit_cells):
-        """The planner's _hit_cells, recording its arguments."""
-        CheckedChooser.cell_tests.append(args)
-        return hit_cells(*args)
 
     def __init__(self, model, obstacles, cfg):
         super().__init__(model, obstacles, cfg)
@@ -859,32 +879,53 @@ class CheckedChooser(ConeConstraints):
         type(self).rejected += not spheres
         return spheres
 
-    def _rasterize(self, joint, frame, pivot, spheres):
-        CheckedChooser.cell_tests.clear()
-        hits = super()._rasterize(joint, frame, pivot, spheres)
+    def _windows(self, joint, frame, pivot, spheres):
         centers = np.array([s[:3] for s in spheres])
         touch = np.array([s[3] for s in spheres])
         want_tests = []
-        expected = self.reference.rasterize(joint, frame, np.asarray(pivot), centers, touch, want_tests)
-        assert len(CheckedChooser.cell_tests) == len(want_tests), joint
-        for (cp, sp, cy, sy, *rest), (pitch, yaw, *want_rest) in zip(CheckedChooser.cell_tests, want_tests):
-            assert rest == want_rest, joint
-            for table, want in ((cp, np.cos(pitch)), (sp, np.sin(pitch)), (cy, np.cos(yaw)), (sy, np.sin(yaw))):
-                assert np.array_equal(table, want), joint
-        assert [h[:2] for h in hits] == [h[:2] for h in expected], joint
-        for (_, _, hit), (_, _, want) in zip(hits, expected):
-            assert np.array_equal(hit, want), joint
+        self.expected = self.reference.rasterize(joint, frame, np.asarray(pivot), centers, touch, want_tests)
         type(self).rasterized += 1
-        return hits
-
-    def _nearest_safe(self, joint, limits, desired, hits):
         try:
-            *want, outside = self.reference.nearest_safe(joint, limits, desired, hits)
+            windows = super()._windows(joint, frame, pivot, spheres)
         except SafeSetEmpty:
-            with pytest.raises(SafeSetEmpty):
-                super()._nearest_safe(joint, limits, desired, hits)
+            # a sphere holds the pivot: the reference marks every cell
+            full = (len(self.grids[joint][0][1]), len(self.grids[joint][1][1]))
+            assert any(hit.shape == full and hit.all() for _, _, hit in self.expected), joint
             raise
-        got = super()._nearest_safe(joint, limits, desired, hits)
+        length = self._lengths[joint]
+        (_, pc, pcos, psin), (_, yc, ycos, ysin) = self.grids[joint]
+        assert len(windows) == len(want_tests), joint
+        hits = []
+        for w, (pitch, yaw, proj, want_length, reach) in zip(windows, want_tests):
+            i0, i1, j0, j1, *inputs = w
+            assert (inputs, length) == ([*proj, reach * reach], want_length), joint
+            assert list(pc[i0:i1]) == pitch.tolist() and list(yc[j0:j1]) == yaw.tolist(), joint
+            for table, want in (
+                (pcos[i0:i1], np.cos(pitch)),
+                (psin[i0:i1], np.sin(pitch)),
+                (ycos[j0:j1], np.cos(yaw)),
+                (ysin[j0:j1], np.sin(yaw)),
+            ):
+                assert list(table) == want.tolist(), joint
+            hit = expand(w, self.grids[joint], length)
+            if hit.any():
+                hits.append((i0, j0, hit))
+        assert [h[:2] for h in hits] == [h[:2] for h in self.expected], joint
+        for (_, _, hit), (_, _, want) in zip(hits, self.expected):
+            assert np.array_equal(hit, want), joint
+        return windows
+
+    def _nearest_safe(self, joint, limits, desired, windows):
+        if not self.expected:
+            want, outside = clamp_to_limits(desired.pitch, desired.yaw, limits), False
+        else:
+            try:
+                *want, outside = self.reference.nearest_safe(joint, limits, desired, self.expected)
+            except SafeSetEmpty:
+                with pytest.raises(SafeSetEmpty):
+                    super()._nearest_safe(joint, limits, desired, windows)
+                raise
+        got = super()._nearest_safe(joint, limits, desired, windows)
         assert got == tuple(want), (joint, desired)
         type(self).outside += outside
         return got
@@ -898,7 +939,6 @@ class TestBroadPhaseReject:
     def run_checked(self, monkeypatch, model, state, goal, obstacles, cfg):
         """Share of the plan's visits that kept no sphere."""
         monkeypatch.setattr(vofabrik.planner, "ConeConstraints", CheckedChooser)
-        monkeypatch.setattr(vofabrik.planner, "_hit_cells", CheckedChooser.recording_hit_cells)
         for counter in ("visits", "rejected", "rasterized", "outside"):
             monkeypatch.setattr(CheckedChooser, counter, 0)
         plan(model, state, goal, obstacles, cfg)
@@ -914,7 +954,7 @@ class TestBroadPhaseReject:
             assert share > 0.5
         if name == "planar_2link":
             # the picks the reference found outside its union box, which
-            # the grown box must find in its ring of cells
+            # the lazy search must find as well
             assert CheckedChooser.outside > 0
 
     @pytest.mark.parametrize("thickness", [0.01, [0.0, 0.01, 0.01, 0.01, 0.01, 0.01]])
@@ -947,3 +987,109 @@ class TestBroadPhaseReject:
         goal = state.positions[-1] + rng.normal(scale=0.05, size=3)
         self.run_checked(monkeypatch, model, state, goal, obstacles, PlannerConfig(max_steps=4))
         assert CheckedChooser.rasterized > 0
+
+
+class RecordingChooser(ConeConstraints):
+    """The planner's chooser, keeping the last visit's spheres and windows."""
+
+    spheres = windows = ()
+
+    def _touch_spheres(self, *args):
+        self.spheres = super()._touch_spheres(*args)
+        self.windows = ()
+        return self.spheres
+
+    def _windows(self, *args):
+        self.windows = super()._windows(*args)
+        return self.windows
+
+
+def random_limits(kind, rng, n):
+    if kind == "snake1":
+        swing = [float(rng.uniform(0.3, 2.0)) for _ in range(n)]
+        return [JointLimits(-s, s, 0.0, 0.0) if k % 2 else JointLimits(0.0, 0.0, -s, s) for k, s in enumerate(swing)]
+    if kind == "snake2":
+        return [JointLimits.symmetric(float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 3.1))) for _ in range(n)]
+    return [JointLimits.unlimited()] * n
+
+
+class TestLazySearch:
+    """The lazy search against chooser_reference.MaskChooser, the mask
+    rasterizer and grown-box search it replaced, on direct visits of random
+    chains and poses with random desired angles, within and past the
+    limits: the pick must be == and SafeSetEmpty must come in the same
+    cases. Seeded, so every run checks the same visits."""
+
+    @pytest.mark.parametrize(
+        "kind, chains",
+        [("snake1", 40), ("snake2", 25), ("unlimited", 4), ("grazing_snake1", 30), ("grazing_snake2", 20)],
+    )
+    def test_pick_matches_frozen_mask_chooser(self, kind, chains):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        grazing = kind.startswith("grazing")
+        visits = searched = empty = small = 0
+        for _ in range(chains):
+            n = int(rng.integers(2, 9))
+            model = ChainModel(
+                base=np.zeros(3),
+                base_direction=np.array([1.0, 0.0, 0.0]),
+                links=[LinkSpec(float(rng.uniform(0.04, 0.12)), float(rng.uniform(0.0, 0.015)))] * n,
+                limits=random_limits(kind.removeprefix("grazing_"), rng, n),
+            )
+            cfg = PlannerConfig(clearance_margin=float(rng.choice([0.0, 5e-3])))
+            angles = np.array([rng.uniform((l.pitch_min, l.yaw_min), (l.pitch_max, l.yaw_max)) for l in model.limits])
+            state = state_from_angles(model, angles)
+            p = state.positions
+            frames = joint_frames(model, state.angles)
+            obstacles, aims = [], {}
+            for _ in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(0, n))
+                radius = float(rng.uniform(0.005, 0.04))
+                if grazing:
+                    # the touch sphere (reach R) reaches just past the tip
+                    # circle of link k at angles within its limits: at
+                    # forward joint k its angular window has half-width
+                    # beta = acos((d^2 + L^2 - R^2) / (2 d L)), under a cell
+                    lim = model.limits[k]
+                    pitch, yaw = rng.uniform((lim.pitch_min, lim.yaw_min), (lim.pitch_max, lim.yaw_max))
+                    direction = link_directions(frames[k], [pitch], [yaw])[0]
+                    aims.setdefault(k, []).append((pitch, yaw))
+                    length = float(model.lengths[0])
+                    lip = length * 0.5 * cfg.angular_resolution * math.sqrt(2.0) * 1.0001
+                    reach = radius + cfg.clearance_margin + float(model.thicknesses[0]) + lip
+                    beta = float(rng.uniform(0.0, cfg.angular_resolution))
+                    dist = length * math.cos(beta) + math.sqrt(reach**2 - (length * math.sin(beta)) ** 2)
+                else:
+                    direction = rng.normal(size=3)
+                    direction /= np.linalg.norm(direction)
+                    dist = float(rng.uniform(0.0, 0.15))
+                obstacles.append(SphereObstacle(p[k] + dist * direction, radius))
+            chooser = RecordingChooser(model, obstacles, cfg)
+            mask = MaskChooser(model, cfg)
+            for phase in (Phase.BACKWARD, Phase.FORWARD):
+                choose = chooser(phase, list(map(tuple, p.tolist())))
+                for k, lim in enumerate(model.limits):
+                    pivot = tuple(p[k + 1] if phase is Phase.BACKWARD else p[k])
+                    for _ in range(20):
+                        if phase is Phase.FORWARD and k in aims and rng.random() < 0.5:
+                            # within two cells of a grazing sphere's aim
+                            aim = aims[k][int(rng.integers(len(aims[k])))]
+                            pick = aim + rng.uniform(-2.0, 2.0, size=2) * cfg.angular_resolution
+                        else:
+                            pick = rng.uniform(
+                                (lim.pitch_min - 0.3, lim.yaw_min - 0.3), (lim.pitch_max + 0.3, lim.yaw_max + 0.3)
+                            )
+                        desired = JointAngles(*np.clip(pick, -math.pi, math.pi).tolist())
+                        try:
+                            got = choose(k, desired, lim, frames[k], pivot)
+                        except SafeSetEmpty:
+                            got = None
+                        want = mask.pick(k, desired, lim, frames[k], pivot, chooser.spheres)
+                        assert got == (None if want is None else tuple(want)), (phase, k, desired)
+                        visits += 1
+                        empty += got is None
+                        searched += got not in (None, clamp_to_limits(desired.pitch, desired.yaw, lim))
+                        small += any(w[1] - w[0] <= 3 and w[3] - w[2] <= 3 for w in chooser.windows)
+        assert searched > 0.02 * visits and empty > 0, (visits, searched, empty)
+        if grazing:
+            assert small > 0.1 * visits, (visits, small)
