@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import FMA_RANGE, Capsule3, Segment3, as_vec3
+from .geometry import COORDINATE_RANGE, Capsule3, Segment3, as_vec3
 
 # float-noise allowance of fk's limit check, and per metre of model.extent
 # of ChainState.validate's fk-consistency check
@@ -143,7 +143,7 @@ class ChainModel:
     joint at p_k that aims link k relative to link k-1 (or relative to
     base_direction for k = 0). The chain's reach, max|base| + sum of the
     link lengths, bounds every coordinate a pose can take; it must lie
-    within geometry.FMA_RANGE, and extent = max(1, reach) scales the
+    within geometry.COORDINATE_RANGE, and extent = max(1, reach) scales the
     tolerance of ChainState.validate.
     """
 
@@ -192,8 +192,8 @@ class ChainModel:
         )
         # Python floats overflow to inf silently, where np.sum would warn
         reach = max(map(abs, self.base.tolist())) + sum(self.lengths.tolist())
-        if not reach <= FMA_RANGE:
-            raise ValueError(f"chain reach {reach:g} m (max|base| + link lengths) must lie within {FMA_RANGE:g}")
+        if not reach <= COORDINATE_RANGE:
+            raise ValueError(f"chain reach {reach:g} m (max|base| + link lengths) must lie within {COORDINATE_RANGE:g}")
         object.__setattr__(self, "extent", max(1.0, reach))
 
     @property

@@ -170,7 +170,7 @@ def solve(
     """
     cfg = cfg or FabrikConfig()
     chooser = choose_angles or _default_chooser
-    # fma is exact within FMA_RANGE; ChainModel keeps the chain's reach there
+    # ChainModel keeps the chain's reach within COORDINATE_RANGE, as_point the target
     target = as_point(target, "target")
 
     residual = float(np.linalg.norm(state.positions[-1] - target))

@@ -10,11 +10,12 @@ instead of silently collapsing to a point, so that NaNs never propagate
 into the solvers downstream. A segment cannot change afterwards, so the
 distance queries need not check again.
 
-The distance queries compute on Python float triples, read once per
-endpoint, and build arrays only for the witness points they return. Each
-dot product goes through fma, as np.dot rounds it, so for coordinates
-within FMA_RANGE every query returns the same distance and witness points
-(==) as the numpy version it replaced (tests/geometry_reference.py).
+Points, segment ends and sphere centers must lie within COORDINATE_RANGE,
+where every distance kernel stays finite. The distance queries compute on
+Python float triples, read once per endpoint, and build arrays only for
+the witness points they return. Each dot product goes through fma, as
+np.dot rounds it, so every query returns the same distance and witness
+points (==) as the numpy version it replaced (tests/geometry_reference.py).
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 # Segments shorter than this have no usable direction.
 DEGENERACY_THRESHOLD = 1e-12
 
-# Largest coordinate magnitude fma serves exactly (squares overflow past 1e154)
-FMA_RANGE = 1e150
+# Largest coordinate magnitude R anywhere: the segment kernel's a * e is a
+# fourth power of length, at most 144 R**4, finite while R < 3e76
+COORDINATE_RANGE = 1e75
 
 
 def fma(a: float, b: float, c: float) -> float:
@@ -37,7 +39,7 @@ def fma(a: float, b: float, c: float) -> float:
     numpy rounds a 3-term dot x . y as fma(x2, y2, fma(x1, y1, x0 * y0)).
     Dekker's TwoProduct (Veltkamp's split by 2**27 + 1) gives a * b = p + e
     exactly, and math.fsum rounds p + e + c once (Ogita, Rump & Oishi
-    2005). Exact for operands from 1e-140 to FMA_RANGE in magnitude.
+    2005). Exact for operands from 1e-140 to 1e150 in magnitude.
     """
     p = a * b
     t = 134217729.0 * a
@@ -63,11 +65,14 @@ def as_vec3(v) -> np.ndarray:
 
 
 def as_point(v, name: str) -> np.ndarray:
-    """Coerce a position to a float64 3-vector within the range fma serves.
-    NaN and inf fail the range test too."""
+    """Coerce a position to a float64 3-vector within COORDINATE_RANGE.
+    NaN and inf fail the range test too; a test in plain floats costs a
+    quarter of np.all's."""
     a = np.asarray(v, dtype=float)
-    if a.shape != (3,) or not np.all(np.abs(a) <= FMA_RANGE):
-        raise ValueError(f"{name} must lie within +-{FMA_RANGE:g} in each of 3 coordinates, got {a.tolist()}")
+    if a.shape != (3,) or not all(abs(c) <= COORDINATE_RANGE for c in a.tolist()):
+        raise ValueError(
+            f"{name} must lie within +-{COORDINATE_RANGE:g}: a 3-vector of finite coordinates, got {a.tolist()}"
+        )
     return a
 
 
@@ -80,7 +85,7 @@ class Segment3:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            end = as_vec3(np.array(getattr(self, name), dtype=float))
+            end = as_point(np.array(getattr(self, name), dtype=float), f"segment end {name}")
             end.flags.writeable = False
             object.__setattr__(self, name, end)
         if float(np.linalg.norm(self.b - self.a)) < DEGENERACY_THRESHOLD:
@@ -119,13 +124,6 @@ def _project(p, a, d, dd):
     # Point of the segment a + t d, t in [0, 1], closest to p; dd = d . d
     t = min(max(_dot(_sub(p, a), d) / dd, 0.0), 1.0)
     return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
-
-
-def closest_point_on_segment(p, s: Segment3) -> np.ndarray:
-    """Point of s minimizing the distance to p (clamped parametric projection)."""
-    a = s.a.tolist()
-    d = _sub(s.b.tolist(), a)
-    return np.array(_project(as_vec3(p).tolist(), a, d, _dot(d, d)))
 
 
 def _segment_pair_closest(s1: Segment3, s2: Segment3):
@@ -199,7 +197,7 @@ def capsule_sphere_distance(c: Capsule3, center, radius: float) -> float:
     """
     if radius < 0.0:
         raise ValueError(f"sphere radius must be >= 0, got {radius}")
-    return _segment_point_distances(c.axis, [as_vec3(center).tolist()])[0] - c.radius - radius
+    return _segment_point_distances(c.axis, [as_point(center, "sphere center").tolist()])[0] - c.radius - radius
 
 
 def _segment_point_distances(s: Segment3, points) -> list:

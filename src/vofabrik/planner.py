@@ -38,12 +38,11 @@ once per (limits, resolution) and shared by every chooser. A visit builds
 no array.
 
 min_clearance evaluates all link-obstacle pairs in one batch and all
-non-adjacent link pairs in one segment-segment kernel that repeats
-geometry.segment_segment_distance operation for operation, so the link
-pairs are bit-equal to it. The obstacle rows are not bit-equal to
-geometry.capsule_sphere_distance; they agree with it to rounding. The
-validator in harness alone keeps the scalar geometry path, as an
-independent audit.
+non-adjacent link pairs in one segment-segment kernel, both through one
+point-segment row kernel that repeats geometry operation for operation, so
+every row is bit-equal to geometry.capsule_sphere_distance or
+segment_segment_distance. The validator in harness alone keeps the scalar
+geometry path, as an independent audit.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .fabrik import (
     clamp_to_limits,
     solve as fabrik_solve,
 )
-from .geometry import DEGENERACY_THRESHOLD, DegenerateSegment, as_point, fma
+from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, as_point, fma
 from .velocity_obstacles import (
     NoAdmissibleVelocity,
     SphereObstacle,
@@ -367,12 +366,10 @@ class ConeConstraints:
             else:
                 cos_beta = (dist * dist + length * length - reach * reach) / (2.0 * dist * length)
                 beta = math.acos(min(max(cos_beta, -1.0), 1.0))
-            # rel and its unit axis on the triad
-            ax, ay, az = rx / dist, ry / dist, rz / dist
+            # rel on the triad; the window is centred on its direction
             rf, rl, ru = (fma(rz, tz, fma(ry, ty, rx * tx)) for tx, ty, tz in triad)
-            af, al, au = (fma(az, tz, fma(ay, ty, ax * tx)) for tx, ty, tz in triad)
-            pitch_c = math.asin(min(max(au, -1.0), 1.0))
-            yaw_c = math.atan2(al, af)
+            pitch_c = math.asin(min(max(ru / dist, -1.0), 1.0))
+            yaw_c = math.atan2(rl, rf)
             centers = [(pitch_c, yaw_c, 1.0)]
             if pedges[0] < -0.5 * math.pi or pedges[-1] > 0.5 * math.pi:
                 # (+-pi - pitch, yaw + pi) aims the link the same way, with
@@ -512,15 +509,25 @@ def _segment_distances(a1, b1, a2, b2):
     np.copyto(s, _unit((b - c) / a), where=above)
     np.copyto(t, 0.0, where=below)
     np.copyto(t, 1.0, where=above)
-    # one block of rows per candidate point pair: the clamped closest
-    # points, then each endpoint and its projection onto the other segment
-    # (base + u * dirs); the norm of a difference does not depend on its sign
-    m = len(s)
-    q = np.concatenate([a1 + s[:, None] * d1, a1, b1, a2, b2])
-    base = np.concatenate([a2, a2, a2, a1, a1])
-    dirs = np.concatenate([d2, d2, d2, d1, d1])
-    u = np.concatenate([t, _unit(np.vecdot(q[m:] - base[m:], dirs[m:]) / np.concatenate([e, e, a, a]))])
-    return _norms(q - (base + u[:, None] * dirs)).reshape(5, m).min(axis=0)
+    # one block of rows per endpoint against the other segment, then the
+    # clamped closest points; the norm of a difference does not depend on
+    # its sign
+    ends = _point_segment_distances(
+        np.concatenate([a1, b1, a2, b2]),
+        np.concatenate([a2, a2, a1, a1]),
+        np.concatenate([d2, d2, d1, d1]),
+        np.concatenate([e, e, a, a]),
+    )
+    inner = _norms((a1 + s[:, None] * d1) - (a2 + t[:, None] * d2))
+    return np.minimum(inner, ends.reshape(4, len(s)).min(axis=0))
+
+
+def _point_segment_distances(q, base, dirs, dd):
+    """Distance from each point q to the segment base + u * dirs, u in
+    [0, 1], row by row (rows broadcast); dd = dirs . dirs. The operations
+    of geometry._project and _norm, so each row is bit-equal to them."""
+    u = _unit(np.vecdot(q - base, dirs) / dd)
+    return _norms(q - (base + u[..., None] * dirs))
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,36 +543,30 @@ def _link_pairs(n):
 def min_clearance(model: ChainModel, positions, obstacles) -> float:
     """Smallest clearance over link-obstacle and non-adjacent link pairs.
 
-    The link pairs run through one batched kernel, bit-equal to
-    geometry.segment_segment_distance on each pair; the validator keeps
-    the scalar path as the independent audit. Non-finite positions raise
-    ValueError and a zero-length link DegenerateSegment, as the scalar
-    segments do.
+    Each row is bit-equal to geometry.capsule_sphere_distance (link and
+    obstacle) or segment_segment_distance (link pair); the validator keeps
+    the scalar path as the independent audit. Positions past
+    COORDINATE_RANGE, NaN and inf raise ValueError and a zero-length link
+    DegenerateSegment, as the scalar segments do.
     """
     n = model.n_links
     p = np.asarray(positions, dtype=float)
     if p.shape != (n + 1, 3):
         raise ValueError(f"expected {n + 1} joint positions of 3 coordinates, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError("joint positions must be finite")
+    if not (np.abs(p) <= COORDINATE_RANGE).all():
+        raise ValueError(f"joint positions must lie within +-{COORDINATE_RANGE:g} and be finite")
     a, b = p[:-1], p[1:]
     d = b - a
     if (_norms(d) < DEGENERACY_THRESHOLD).any():
         raise DegenerateSegment(f"segment endpoints coincide within {DEGENERACY_THRESHOLD} m")
-    len2 = np.einsum("ij,ij->i", d, d)
     th = model.thicknesses
     best = math.inf
     if obstacles:
-        # every (obstacle, link) pair as one row, obstacle-major, through
-        # the same row kernels as one obstacle at a time
-        k = len(obstacles)
+        # every (obstacle, link) pair as one row of one batch
         centers = np.array([o.center for o in obstacles], dtype=float)
         radii = np.array([o.radius for o in obstacles], dtype=float)
-        rel = (centers[:, None, :] - a).reshape(-1, 3)
-        dk, ak = np.tile(d, (k, 1)), np.tile(a, (k, 1))
-        t = np.clip(np.einsum("ij,ij->i", rel, dk) / np.tile(len2, k), 0.0, 1.0)
-        gaps = np.linalg.norm(np.repeat(centers, n, axis=0) - (ak + t[:, None] * dk), axis=1)
-        best = float(np.min(gaps - np.tile(th, k) - np.repeat(radii, n)))
+        gaps = _point_segment_distances(centers[:, None, :], a, d, np.vecdot(d, d))
+        best = float(np.min(gaps - th - radii[:, None]))
     i, j = _link_pairs(n)
     if i.size:
         # segment_segment_distance evaluates each pair with the

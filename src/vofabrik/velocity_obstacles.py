@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_vec3
+from .geometry import as_point, as_vec3
 
 _REST_SPEED = 1e-15  # m/s; below this a relative velocity cannot cause collision
 _REFINEMENT_STEPS = 60
@@ -46,7 +46,7 @@ class SphereObstacle:
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center))
+        object.__setattr__(self, "center", as_point(self.center, "obstacle center"))
         object.__setattr__(self, "velocity", as_vec3(self.velocity))
         if not self.radius > 0.0:
             raise ValueError(f"obstacle radius must be > 0, got {self.radius}")

@@ -1,10 +1,10 @@
 """Frozen numpy reference for the scalar distance queries.
 
-A copy of geometry.closest_point_on_segment, _segment_pair_closest,
-segment_segment_distance and capsule_sphere_distance as they ran on numpy
-3-vectors before the queries moved to Python float triples: differences
-and witness points as numpy arrays, dot products by np.dot and lengths by
-np.linalg.norm.
+A copy of geometry's segment projection (now _project),
+_segment_pair_closest, segment_segment_distance and capsule_sphere_distance
+as they ran on numpy 3-vectors before the queries moved to Python float
+triples: differences and witness points as numpy arrays, dot products by
+np.dot and lengths by np.linalg.norm.
 
 The geometry queries must give the same distances (==) and the same
 witness points (array_equal) on the same segments.

@@ -79,6 +79,23 @@ def test_chooser_visit_path_uses_no_numpy():
     assert {"self._touch_spheres", "self._windows", "self._nearest_safe", "_hit", "clamp_to_limits", "fma"} <= reached
 
 
+def test_min_clearance_has_one_row_arithmetic():
+    """min_clearance and every planner function it reaches name no einsum,
+    clip or linalg: their point-segment rows all run through one kernel,
+    so no second row arithmetic can drift from the scalar geometry."""
+    tree = ast.parse((ROOT / "src" / "vofabrik" / "planner.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["min_clearance"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        nodes = list(ast.walk(functions[name]))
+        used = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        assert not used & {"einsum", "clip", "linalg"}, (name, sorted(used & {"einsum", "clip", "linalg"}))
+        todo.extend(sorted((used & functions.keys()) - reached))
+    assert {"_segment_distances", "_point_segment_distances", "_norms", "_unit", "_link_pairs"} <= reached
+
+
 # 04 plans the full cavity scenario (about 10 s); the acceptance tests
 # cover that plan
 @pytest.mark.parametrize(

@@ -182,14 +182,14 @@ class TestLoadScenario:
         "base, length",
         [
             ([0.0, 0.0, 0.0], 1e7),
-            # past geometry.FMA_RANGE, where min_clearance would overflow
+            # past geometry.COORDINATE_RANGE, where the distance kernels overflow
             ([2e150, 0.0, 0.0], 1e149),
         ],
     )
     def test_inconsistent_initial_state_rejected_at_load(self, base, length):
         # ChainState.validate's tolerance grows with the chain's reach, as
         # fk's rounding does, so a 1e7 m chain loads at any pose; a chain
-        # whose reach passes FMA_RANGE is rejected whatever its pose
+        # whose reach passes COORDINATE_RANGE is rejected whatever its pose
         doc = toy_doc()
         doc["chain"]["base"] = base
         doc["chain"]["links"] = [{"length": length, "thickness": 0.01} for _ in range(3)]

@@ -2,6 +2,7 @@
 cell windows and lazy search, checked on the chooser plan() runs, the outer
 goal-stepping loop, and random small scenarios from load to validation."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -27,7 +28,7 @@ from vofabrik.chain import (
     state_from_angles,
 )
 from vofabrik.fabrik import FabrikConfig, Phase, clamp_to_limits, solve
-from vofabrik.geometry import DegenerateSegment
+from vofabrik.geometry import Capsule3, DegenerateSegment, Segment3, capsule_sphere_distance, segment_segment_distance
 from vofabrik.harness import (
     ParseError,
     ValidationError,
@@ -753,6 +754,61 @@ class TestMinClearance:
                     clearance(model, positions, [])
 
 
+class TestCoordinateRange:
+    """Every distance kernel stays finite and warns nothing for coordinates
+    within geometry.COORDINATE_RANGE, and every entry point refuses one a
+    step past it with a ValueError."""
+
+    R = vofabrik.geometry.COORDINATE_RANGE
+    PAST = math.nextafter(R, math.inf)
+    CORNERS = [np.array(c) for c in itertools.product((-R, R), repeat=3)]
+
+    def test_segment_kernels_are_finite_on_every_corner_quadruple(self):
+        # the segment kernel's fourth powers peak with all ends on corners
+        segments = [Segment3(a, b) for a in self.CORNERS for b in self.CORNERS if not np.array_equal(a, b)]
+        for s1 in segments[::3]:
+            for s2 in segments:
+                d, w1, w2 = segment_segment_distance(s1, s2)
+                assert math.isfinite(d) and np.isfinite(w1).all() and np.isfinite(w2).all()
+            for c in self.CORNERS:
+                assert math.isfinite(capsule_sphere_distance(Capsule3(s1, self.R), c, self.R))
+
+    def test_min_clearance_and_solve_are_finite_at_the_range(self):
+        # seven links through the eight corners, obstacles on every corner
+        model = make_chain(7, length=self.R / 8, thickness=self.R / 100)
+        obstacles = [SphereObstacle(c, self.R / 10) for c in self.CORNERS]
+        got = min_clearance(model, self.CORNERS, obstacles)
+        assert math.isfinite(got) and got == scalar_min_clearance(model, self.CORNERS, obstacles)
+        # a chain reaching exactly the range, free and among obstacles
+        model = make_chain(4, length=self.R / 4, thickness=self.R / 100)
+        state = state_from_angles(model, np.full((4, 2), 0.3))
+        for target in ((0.0, self.R / 2, 0.0), (-self.R, self.R, self.R)):
+            for outcome in (
+                solve(model, state, target),
+                ik_phase(model, state, target, obstacles[:1], PlannerConfig(clearance_margin=self.R / 1000)),
+            ):
+                assert np.isfinite(outcome.state.positions).all() and math.isfinite(outcome.residual)
+                assert math.isfinite(min_clearance(model, outcome.state.positions, obstacles))
+
+    def test_a_step_past_the_range_raises_value_error(self):
+        past = (self.PAST, 0.0, 0.0)
+        model = make_chain(4, length=self.R / 4)
+        state = state_from_angles(model, np.zeros((4, 2)))
+        positions = state.positions.copy()
+        positions[-1, 0] = self.PAST
+        calls = (
+            lambda: Segment3(past, (0.0, 0.0, 0.0)),
+            lambda: capsule_sphere_distance(Capsule3(Segment3((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), 0.1), past, 0.1),
+            lambda: SphereObstacle(past, 1.0),
+            lambda: min_clearance(model, positions, []),
+            lambda: solve(model, state, past),
+            lambda: make_chain(4, length=self.PAST / 4),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="must lie within"):
+                call()
+
+
 def fma(x, y, z):
     """x * y + z rounded once, as a fused multiply-add."""
     return float(Fraction(x) * Fraction(y) + Fraction(z))
@@ -801,8 +857,8 @@ class TestFloatFacts:
         assert 0 < plain < samples
 
     def test_fused_helper_is_exact_from_1e_minus_140_to_1e150(self):
-        # the range geometry.fma serves exactly, up to FMA_RANGE
-        assert vofabrik.geometry.FMA_RANGE == 1e150
+        # geometry.fma is exact far past the largest coordinate it is given
+        assert vofabrik.geometry.COORDINATE_RANGE <= 1e150
         rng = np.random.default_rng(14)
         for scale in [10.0**e for e in range(-140, 151, 10)]:
             for _ in range(50):
