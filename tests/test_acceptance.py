@@ -219,6 +219,31 @@ class TestAcceptance:
             f"obstacle rows to capsule_sphere_distance, on {states} shipped states, obstacles closest on {binding}"
         )
 
+    def test_obstacle_clearance_matches_capsule_oracle_on_shipped_plans(self, shipped_runs):
+        """Where the obstacle rows can set min_clearance, they equal (==) the
+        minimum of capsule_sphere_distance over link_capsules and the
+        obstacles on every shipped state."""
+        states = binding = 0
+        for name, (scenario, outcome) in shipped_runs.items():
+            for k, state in enumerate(outcome.trajectory):
+                want = min(
+                    capsule_sphere_distance(capsule, o.center, o.radius)
+                    for capsule in link_capsules(scenario.chain, state)
+                    for o in scenario.obstacles
+                )
+                # min_clearance is the smaller of the link-pair and obstacle
+                # parts; the link pairs alone are checked bit for bit above
+                links = min_clearance(scenario.chain, state.positions, ())
+                got = min_clearance(scenario.chain, state.positions, scenario.obstacles)
+                assert got == min(links, want), (name, k, got, want, links)
+                states += 1
+                binding += want < links
+        assert binding > 0
+        print(
+            f"obstacle clearance PASS - == capsule_sphere_distance over link_capsules "
+            f"on {states} shipped states, obstacles closest on {binding}"
+        )
+
     def test_scalar_geometry_matches_numpy_reference_on_shipped_plans(self, shipped_runs):
         """Every link pair and every link-obstacle pair of every shipped state
         gives the frozen numpy geometry's distance and witness points (==):
