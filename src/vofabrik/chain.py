@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import COORDINATE_RANGE, Capsule3, Segment3, as_vec3
+from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, Capsule3, Segment3, as_length, as_vec3
 
 # float-noise allowance of fk's limit check, and per metre of model.extent
 # of ChainState.validate's fk-consistency check
@@ -143,8 +143,9 @@ class ChainModel:
     joint at p_k that aims link k relative to link k-1 (or relative to
     base_direction for k = 0). The chain's reach, max|base| + sum of the
     link lengths, bounds every coordinate a pose can take; it must lie
-    within geometry.COORDINATE_RANGE, and extent = max(1, reach) scales the
-    tolerance of ChainState.validate.
+    within geometry.COORDINATE_RANGE, as each link length (at least
+    DEGENERACY_THRESHOLD) and thickness must. extent = max(1, reach)
+    scales the tolerance of ChainState.validate.
     """
 
     base: np.ndarray
@@ -154,10 +155,12 @@ class ChainModel:
     world_up: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
-        object.__setattr__(self, "base", as_vec3(self.base))
-        object.__setattr__(self, "base_direction", as_vec3(self.base_direction))
-        object.__setattr__(self, "world_up", as_vec3(self.world_up))
-        object.__setattr__(self, "links", tuple(LinkSpec(*l) for l in self.links))
+        for name in ("base", "base_direction", "world_up"):
+            object.__setattr__(self, name, as_vec3(getattr(self, name), name))
+        object.__setattr__(self, "links", tuple(
+            LinkSpec(as_length(l, f"link {k} length", DEGENERACY_THRESHOLD), as_length(t, f"link {k} thickness"))
+            for k, (l, t) in enumerate(self.links)
+        ))
         object.__setattr__(self, "limits", tuple(self.limits))
 
         if len(self.links) < 2:
@@ -166,18 +169,12 @@ class ChainModel:
             raise ValueError(
                 f"limits count {len(self.limits)} != link count {len(self.links)}"
             )
-        for k, link in enumerate(self.links):
-            if not 0.0 < link.length < math.inf:
-                raise ValueError(f"link {k} length must be finite and > 0, got {link.length}")
-            if not 0.0 <= link.thickness < math.inf:
-                raise ValueError(f"link {k} thickness must be finite and >= 0, got {link.thickness}")
         n = float(np.linalg.norm(self.base_direction))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"base_direction must be unit length, norm is {n:.17g}")
-        with np.errstate(over="ignore"):
-            n = float(np.linalg.norm(self.world_up))
-        if not 0.0 < n < math.inf:
-            raise ValueError(f"world_up must normalize to a finite unit vector, norm is {n:g}")
+        n = float(np.linalg.norm(self.world_up))
+        if not n > 0.0:
+            raise ValueError(f"world_up must normalize to a unit vector, norm is {n:g}")
         up = self.world_up / n
         if abs(float(np.dot(self.base_direction, up))) > 1.0 - 1e-9:
             raise ValueError("base_direction must not be collinear with world_up")
@@ -190,7 +187,6 @@ class ChainModel:
         object.__setattr__(
             self, "thicknesses", np.array([l.thickness for l in self.links])
         )
-        # Python floats overflow to inf silently, where np.sum would warn
         reach = max(map(abs, self.base.tolist())) + sum(self.lengths.tolist())
         if not reach <= COORDINATE_RANGE:
             raise ValueError(f"chain reach {reach:g} m (max|base| + link lengths) must lie within {COORDINATE_RANGE:g}")

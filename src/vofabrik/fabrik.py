@@ -46,7 +46,7 @@ from .chain import (
     angles_from_direction,
     joint_frames,
 )
-from .geometry import DEGENERACY_THRESHOLD, as_point, fma
+from .geometry import DEGENERACY_THRESHOLD, as_vec3, fma
 
 
 class Phase(Enum):
@@ -68,8 +68,8 @@ class FabrikConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass
@@ -170,8 +170,8 @@ def solve(
     """
     cfg = cfg or FabrikConfig()
     chooser = choose_angles or _default_chooser
-    # ChainModel keeps the chain's reach within COORDINATE_RANGE, as_point the target
-    target = as_point(target, "target")
+    # ChainModel keeps the chain's reach within COORDINATE_RANGE, as_vec3 the target
+    target = as_vec3(target, "target")
 
     residual = float(np.linalg.norm(state.positions[-1] - target))
     if residual < cfg.epsilon:

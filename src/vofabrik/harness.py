@@ -58,7 +58,7 @@ from .chain import (
     link_capsules,
     state_from_angles,
 )
-from .geometry import _segment_point_distances, as_point, as_vec3, capsule_capsule_distance
+from .geometry import _segment_point_distances, as_vec3, capsule_capsule_distance
 from .planner import PlannerConfig, PlanStatus, min_clearance, plan
 from .velocity_obstacles import SphereObstacle
 
@@ -218,7 +218,7 @@ def scenario_from_dict(doc, where="scenario") -> Scenario:
 
     goal = _vec3(_require(doc, "goal", where), f"{where}.goal")
     try:
-        as_point(goal, f"{where}.goal")
+        as_vec3(goal, f"{where}.goal")
     except ValueError as e:
         raise ValidationError(str(e)) from e
     obstacles = _parse_obstacles(_require(doc, "obstacles", where), f"{where}.obstacles")
@@ -364,6 +364,7 @@ class TrajectoryRecord:
 
     @classmethod
     def read_csv(cls, path, scenario=None) -> "TrajectoryRecord":
+        """Parse a write_csv file; a bad row or step raises ParseError at its line."""
         path = Path(path)
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
@@ -377,20 +378,24 @@ class TrajectoryRecord:
         if header != expected:
             bad = next(i for i, (a, b) in enumerate(zip(header, expected)) if a != b)
             raise ParseError(f"{path}: column {bad} is {header[bad]!r}, expected {expected[bad]!r}")
-        data = []
+        steps, data = [-1], []
         for lineno, row in enumerate(rows[1:], start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{lineno}: {len(row)} fields, expected {len(header)}")
             try:
+                step = int(row[0])
                 data.append([float(v) for v in row])
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from e
+            if not steps[-1] < step < 2**63:
+                raise ParseError(f"{path}:{lineno}: step {step} must lie within ({steps[-1]}, 2**63)")
+            steps.append(step)
         if not data:
             raise ParseError(f"{path}: no data rows")
         table = np.array(data)
         return cls(
             scenario=scenario if scenario is not None else path.stem,
-            steps=table[:, 0].astype(int),
+            steps=np.array(steps[1:]),
             t=table[:, 1],
             angles=table[:, 2 : 2 + 2 * n].reshape(-1, n, 2),
             end_effector=table[:, 2 + 2 * n : 5 + 2 * n],
@@ -435,7 +440,7 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
     fails its limit check, and its row gets no other check, since it has no
     pose.
     """
-    centers = [as_vec3(o.center).tolist() for o in obstacles]
+    centers = [as_vec3(o.center, "obstacle center").tolist() for o in obstacles]
     out = []
     for i in range(trajectory.steps.shape[0]):
         step = int(trajectory.steps[i])

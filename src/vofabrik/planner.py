@@ -66,7 +66,7 @@ from .fabrik import (
     clamp_to_limits,
     solve as fabrik_solve,
 )
-from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, as_point, fma
+from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, as_vec3, fma
 from .velocity_obstacles import (
     NoAdmissibleVelocity,
     SphereObstacle,
@@ -122,11 +122,12 @@ class PlannerConfig:
             "t_s",
             "v_pref_speed",
             "goal_tolerance",
-            "max_steps",
             "angular_resolution",
         ):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if not 0 <= self.clearance_margin < math.inf:
             raise ValueError(f"clearance_margin must be finite and >= 0, got {self.clearance_margin}")
 
@@ -617,7 +618,7 @@ def plan(
     if solver not in ("vofabrik", "fabrik"):
         raise ValueError(f"unknown solver {solver!r}")
     cfg = cfg or PlannerConfig()
-    goal = as_point(goal, "goal")
+    goal = as_vec3(goal, "goal")
     obstacles = list(obstacles)
 
     initial_state.validate(model)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_point, as_vec3
+from .geometry import DEGENERACY_THRESHOLD, as_length, as_vec3
 
 _REST_SPEED = 1e-15  # m/s; below this a relative velocity cannot cause collision
 _REFINEMENT_STEPS = 60
@@ -46,10 +46,9 @@ class SphereObstacle:
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center, "obstacle center"))
-        object.__setattr__(self, "velocity", as_vec3(self.velocity))
-        if not self.radius > 0.0:
-            raise ValueError(f"obstacle radius must be > 0, got {self.radius}")
+        object.__setattr__(self, "center", as_vec3(self.center, "obstacle center"))
+        object.__setattr__(self, "radius", as_length(self.radius, "obstacle radius", DEGENERACY_THRESHOLD))
+        object.__setattr__(self, "velocity", as_vec3(self.velocity, "obstacle velocity"))
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,10 @@ class CollisionCone:
     half_angle: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "apex_velocity_offset", as_vec3(self.apex_velocity_offset)
-        )
-        object.__setattr__(self, "axis", as_vec3(self.axis))
+        for name in ("apex_velocity_offset", "axis"):
+            object.__setattr__(self, name, as_vec3(getattr(self, name), name))
+        for name in ("truncation_distance", "combined_radius"):
+            object.__setattr__(self, name, as_length(getattr(self, name), name))
         if self.truncation_distance <= self.combined_radius:
             raise ValueError(
                 "truncation_distance must exceed combined_radius "
@@ -101,9 +100,8 @@ def collision_cone(agent_center, agent_radius: float, obstacle: SphereObstacle) 
     Raises AlreadyInCollision when the spheres overlap (center distance
     not greater than the radius sum).
     """
-    agent_center = as_vec3(agent_center)
-    if agent_radius < 0.0:
-        raise ValueError(f"agent radius must be >= 0, got {agent_radius}")
+    agent_center = as_vec3(agent_center, "agent center")
+    agent_radius = as_length(agent_radius, "agent radius")
     offset = obstacle.center - agent_center
     d = float(np.linalg.norm(offset))
     combined = agent_radius + obstacle.radius
@@ -125,7 +123,7 @@ def first_contact_time(v, cone: CollisionCone) -> float:
     Solves ||t * v_rel - d_vec|| = combined_radius for the smaller root;
     returns +inf when the ray misses or recedes.
     """
-    rel = as_vec3(v) - cone.apex_velocity_offset
+    rel = as_vec3(v, "velocity") - cone.apex_velocity_offset
     d_vec = cone.axis * cone.truncation_distance
     a = float(np.dot(rel, rel))
     if a < _REST_SPEED**2:
@@ -147,7 +145,7 @@ def in_cone(v, cone: CollisionCone, cfg: VOConfig) -> bool:
     axis below half_angle - _BOUNDARY_EPSILON) and the exact first-contact
     time is within cfg.time_horizon.
     """
-    rel = as_vec3(v) - cone.apex_velocity_offset
+    rel = as_vec3(v, "velocity") - cone.apex_velocity_offset
     speed = float(np.linalg.norm(rel))
     if speed < _REST_SPEED:
         return False
@@ -182,7 +180,7 @@ def admissible_velocity(v_pref, cones, cfg: VOConfig) -> np.ndarray:
 
     Raises NoAdmissibleVelocity when every lattice direction is blocked.
     """
-    v_pref = as_vec3(v_pref)
+    v_pref = as_vec3(v_pref, "v_pref")
     speed = float(np.linalg.norm(v_pref))
     if not speed > 0.0:
         raise ValueError("v_pref must be nonzero")

@@ -96,6 +96,29 @@ def test_min_clearance_has_one_row_arithmetic():
     assert {"_segment_distances", "_point_segment_distances", "_norms", "_unit", "_link_pairs"} <= reached
 
 
+def test_one_vector_check():
+    """geometry.as_vec3 is the one 3-vector check: no module defines or
+    calls an as_point, np.isfinite checks only whole angle arrays, in
+    ChainState.validate and validate_trajectory, and no module calls
+    np.errstate, which a vector within COORDINATE_RANGE never needs."""
+    uses = set()
+    for path in sorted((ROOT / "src" / "vofabrik").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert "as_point" not in names, path.name
+        # the innermost function around each node; ast.walk goes outside in
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np":
+                if node.attr in ("isfinite", "errstate"):
+                    uses.add((node.attr, f"{path.stem}.{owner.get(node, '<module>')}"))
+    assert sorted(uses) == [("isfinite", "chain.validate"), ("isfinite", "harness.validate_trajectory")]
+
+
 # 04 plans the full cavity scenario (about 10 s); the acceptance tests
 # cover that plan
 @pytest.mark.parametrize(

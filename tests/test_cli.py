@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,16 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_degenerate_link_exits_two(self, planar_2link, tmp_path, capsys):
+        # a link shorter than geometry.DEGENERACY_THRESHOLD has no direction
+        doc = json.loads(Path(planar_2link).read_text())
+        doc["chain"]["links"][0]["length"] = 1e-13
+        scenario = tmp_path / "degenerate.json"
+        scenario.write_text(json.dumps(doc))
+        code = main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: link 0 length must lie within" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_fresh_trajectory_passes(self, planar_3link, tmp_path, capsys):
@@ -119,6 +130,18 @@ class TestValidate:
         assert "step 1: joint_limit: joint 0 pitch nan" in out
         assert "step 2: joint_limit: joint 1 yaw -inf" in out
         assert "2 violations" in out
+
+    @pytest.mark.parametrize("step", ["1.7", "nan", "1e300", "0"])
+    def test_broken_step_column_exits_two(self, planar_2link, tmp_path, capsys, step):
+        main(["run", "--scenario", planar_2link, "--out-dir", str(tmp_path)])
+        trajectory = tmp_path / "planar_2link_vofabrik_trajectory.csv"
+        rows = list(csv.reader(trajectory.read_text().splitlines()))
+        rows[2][0] = step  # step 1; "0" repeats step 0
+        with open(trajectory, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        code = main(["validate", "--scenario", planar_2link, "--trajectory", str(trajectory)])
+        assert code == 2
+        assert f"error: {trajectory}:3:" in capsys.readouterr().err
 
     def test_goal_miss_fails_even_without_violations(self, planar_3link, tmp_path, capsys):
         main(["run", "--scenario", planar_3link, "--out-dir", str(tmp_path), "--set", "max_steps=2"])

@@ -18,6 +18,7 @@ import fabrik_reference
 import vofabrik.fabrik
 from vofabrik.chain import ChainModel, JointLimits, state_from_angles
 from vofabrik.fabrik import FabrikConfig, Phase, SolveStatus, clamp_to_limits, solve
+from vofabrik.geometry import COORDINATE_RANGE
 from vofabrik.planner import ConeConstraints, PlannerConfig, SafeSetEmpty
 from vofabrik.velocity_obstacles import SphereObstacle
 
@@ -292,12 +293,15 @@ class TestFrozenReference:
     def test_coordinates_beyond_fma_range_rejected(self, scale):
         model = chain(3)
         state = state_from_angles(model, np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="must lie within"):
+        with pytest.raises(ValueError, match="target must lie within"):
             solve(model, state, (scale, 0.0, 0.0))
-        # the chain's own reach is the model's to check
-        with pytest.raises(ValueError, match="chain reach .* must lie within"):
+        # a base or a link past the range fails the input rule where it enters
+        with pytest.raises(ValueError, match="base must lie within"):
             ChainModel(
                 base=(0.0, scale, 0.0), base_direction=(1.0, 0.0, 0.0), links=[(1.0, 0.0)] * 3, limits=[UNLIMITED] * 3
             )
-        with pytest.raises(ValueError, match="chain reach .* must lie within"):
+        with pytest.raises(ValueError, match="link 0 length must lie within"):
             chain(3, length=scale / 2)
+        # links within the range whose sum is not: the chain's reach is the model's to check
+        with pytest.raises(ValueError, match="chain reach .* must lie within"):
+            chain(3, length=0.5 * COORDINATE_RANGE)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from vofabrik import (
     ChainModel,
     ChainState,
+    FabrikConfig,
     JointLimits,
     LinkSpec,
     ParseError,
@@ -188,8 +189,8 @@ class TestLoadScenario:
     )
     def test_inconsistent_initial_state_rejected_at_load(self, base, length):
         # ChainState.validate's tolerance grows with the chain's reach, as
-        # fk's rounding does, so a 1e7 m chain loads at any pose; a chain
-        # whose reach passes COORDINATE_RANGE is rejected whatever its pose
+        # fk's rounding does, so a 1e7 m chain loads at any pose; a base
+        # past COORDINATE_RANGE is rejected whatever the pose
         doc = toy_doc()
         doc["chain"]["base"] = base
         doc["chain"]["links"] = [{"length": length, "thickness": 0.01} for _ in range(3)]
@@ -202,7 +203,7 @@ class TestLoadScenario:
                 scenario = scenario_from_dict(doc)
                 scenario.initial_state().validate(scenario.chain)
             else:
-                with pytest.raises(ValidationError, match="chain reach"):
+                with pytest.raises(ValidationError, match="base must lie within"):
                     scenario_from_dict(doc)
 
     def test_goal_beyond_fma_range_rejected_at_load(self):
@@ -257,6 +258,13 @@ class TestConfigOverrides:
     def test_int_field_rejects_float(self):
         with pytest.raises(ParseError, match="max_steps: expected an integer"):
             config_with_overrides(PlannerConfig(), {"max_steps": 2.5})
+
+    @pytest.mark.parametrize("config, name", [(PlannerConfig, "max_steps"), (FabrikConfig, "max_iterations")])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
+    def test_integer_settings_checked_when_built(self, config, name, value):
+        # a count that is not an int would fail deep inside plan or solve
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            config(**{name: value})
 
     def test_rejected_value_carries_path(self):
         with pytest.raises(ParseError, match="planner"):
@@ -353,6 +361,19 @@ class TestTrajectoryRecord:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="fields"):
             TrajectoryRecord.read_csv(path)
+
+    @pytest.mark.parametrize("step", ["1.7", "nan", "1e300", "0", "-1", str(2**63)])
+    def test_read_rejects_broken_step(self, tmp_path, step):
+        record = self.make_record()
+        path = tmp_path / "t.csv"
+        record.write_csv(path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join([step] + lines[2].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="t.csv:3: "):
+                TrajectoryRecord.read_csv(path)
 
     @given(
         s=st.integers(1, 4),
