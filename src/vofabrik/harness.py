@@ -226,9 +226,11 @@ def scenario_from_dict(doc, where="scenario") -> Scenario:
 
     try:
         state = state_from_angles(model, initial)
+        # fk rounds each joint position, so a link just past the lower
+        # length bound can still come out degenerate once placed
+        clearance = min_clearance(model, state.positions, obstacles)
     except ValueError as e:
         raise ValidationError(f"initial_angles: {e}") from e
-    clearance = min_clearance(model, state.positions, obstacles)
     if clearance <= 0.0:
         raise ValidationError(f"initial state in collision (clearance {clearance:.6g} m)")
 
@@ -286,7 +288,7 @@ def _parse_obstacles(raw, where):
         try:
             obstacles.append(SphereObstacle(center, radius))
         except ValueError as e:
-            raise ParseError(f"{where}[{i}]: {e}") from e
+            raise ValidationError(f"{where}[{i}]: {e}") from e
     return obstacles
 
 
@@ -321,7 +323,12 @@ class TrajectoryRecord:
     wall_time: np.ndarray  # (S,) planner seconds per step, 0 for row 0
 
     def __post_init__(self):
-        self.steps = np.asarray(self.steps, dtype=int)
+        steps = np.asarray(self.steps)
+        if steps.dtype.kind != "i":
+            steps = np.asarray(steps, dtype=float)
+            if not ((steps == np.floor(steps)) & (np.abs(steps) < 2.0**63)).all():
+                raise ValueError(f"step indices must be finite integers, got {self.steps!r}")
+        self.steps = steps.astype(int)
         self.t = np.asarray(self.t, dtype=float)
         self.angles = np.asarray(self.angles, dtype=float)
         self.end_effector = np.asarray(self.end_effector, dtype=float)

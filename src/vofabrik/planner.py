@@ -4,24 +4,23 @@ toward the goal under velocity-obstacle guidance.
 
 Safe angles come from a conservative cell test. For each sphere that
 could touch the link (real obstacles plus virtual self-collision spheres
-at the closest points of non-adjacent links), the candidate (pitch, yaw)
-grid over the joint-limit rectangle has a window of cells around the
-sphere's direction, and a cell of it is forbidden when the link capsule at
-the cell's center would come within the touch threshold. The threshold is
-inflated by the worst-case variation of the clearance function across one
-cell (link length x half cell diagonal), which makes the forbidden region
-a rigorous superset of the truly colliding set: any angle in a cell the
-test passes keeps the capsule strictly clear of the inflated sphere. Where
-a joint's pitch limits pass +-pi/2, windows around the mirrored angles
-(+-pi - pitch, yaw + pi), which aim the link the same way, are kept too.
-Cells are tested only as the answer needs them: the clamped desired cell
-first, and only when it is forbidden a search for the nearest safe cell
-that jumps over each forbidden run by bisection.
+at the closest points of non-adjacent links), a cell of the candidate
+(pitch, yaw) grid over the joint-limit rectangle is forbidden when the
+link capsule at the cell's center would come within the touch threshold.
+The threshold is inflated by the worst-case variation of the clearance
+function across one cell (link length x half cell diagonal), which makes
+the forbidden region a rigorous superset of the truly colliding set: any
+angle in a cell the test passes keeps the capsule strictly clear of the
+inflated sphere. The test reads only the cell's cosines and sines, so it
+holds on the whole grid, pitch past +-pi/2 included. Cells are tested only
+as the answer needs them: the clamped desired cell first, and only when it
+is forbidden a search for the nearest safe cell that jumps over each
+forbidden run by bisection.
 
-The backward half-iteration reuses the same windows by reflecting
-sphere centers through the pivot: the link then extends from the pivot
-toward the reflected center exactly when the real link (which extends
-away from the pivot) would approach the real center.
+The backward half-iteration reuses the same test by reflecting sphere
+centers through the pivot: the link then extends from the pivot toward
+the reflected center exactly when the real link (which extends away from
+the pivot) would approach the real center.
 
 When no cell is forbidden, the chooser falls through to the identical
 limit clamp the plain solver uses, so with no obstacles in range the
@@ -31,11 +30,11 @@ Each visit first gathers the spheres within reach in one pass in plain
 Python floats, reading the sweep's float tuples; most visits keep none
 and end as a limit clamp. Its dot products are summed in the order
 numpy's einsum sums a row of three, so the spheres are bit-equal to a
-numpy evaluation. The windows round each sphere's 3-vector dot products
-with geometry.fma, as numpy's fused dot products do, and the cell test
-reads each joint's cell-center cosines and sines from float tables built
-once per (limits, resolution) and shared by every chooser. A visit builds
-no array.
+numpy evaluation. The cell test's inputs round each sphere's 3-vector dot
+products with geometry.fma, as numpy's fused dot products do, and the cell
+test reads each joint's cell-center cosines and sines from float tables
+built once per (limits, resolution) and shared by every chooser. A visit
+builds no array.
 
 min_clearance evaluates all link-obstacle pairs in one batch and all
 non-adjacent link pairs in one segment-segment kernel, both through one
@@ -161,30 +160,6 @@ def _axis_grid(lo: float, hi: float, resolution: float):
     return tuple(tuple(a.tolist()) for a in (edges, centers, np.cos(centers), np.sin(centers)))
 
 
-def _window_spans(center: float, halfwidth: float, lo: float, hi: float):
-    """Angle intervals around `center`, wrapped into (-pi, pi], clipped."""
-    a, b = center - halfwidth, center + halfwidth
-    if b - a >= 2.0 * math.pi:
-        spans = [(-math.pi, math.pi)]
-    elif a < -math.pi:
-        spans = [(-math.pi, b), (a + 2.0 * math.pi, math.pi)]
-    elif b > math.pi:
-        spans = [(a, math.pi), (-math.pi, b - 2.0 * math.pi)]
-    else:
-        spans = [(a, b)]
-    return [(max(s, lo), min(e, hi)) for s, e in spans if max(s, lo) <= min(e, hi)]
-
-
-def _index_range(edges: tuple, lo: float, hi: float):
-    """Half-open cell index range whose cells intersect [lo, hi]."""
-    n = len(edges) - 1
-    if n == 1:
-        return (0, 1) if hi >= edges[0] and lo <= edges[-1] else (0, 0)
-    i0 = bisect.bisect_right(edges, lo) - 1
-    i1 = bisect.bisect_left(edges, hi)
-    return max(i0, 0), min(max(i1, 0), n)
-
-
 def _cell_of(edges: tuple, x: float) -> int:
     """Index of the cell containing x, clamped into range."""
     return min(max(bisect.bisect_right(edges, x) - 1, 0), len(edges) - 2)
@@ -195,12 +170,12 @@ def _loosen(bound: float) -> float:
     return bound * (1.0 + 1e-9) + 1e-12
 
 
-def _hit(cp, sp, cy, sy, window, length):
+def _hit(cp, sp, cy, sy, test, length):
     """Whether the link at the cell (cos and sin of its pitch, of its yaw)
-    passes within reach of the window's sphere: s projects the center,
+    passes within reach of the test's sphere: s projects the center,
     (rf, rl, ru) on the frame triad, on cos(p)cos(y)*forward +
     cos(p)sin(y)*lateral + sin(p)*up, and rr is its squared norm."""
-    rf, rl, ru, rr, reach2 = window[4:]
+    rf, rl, ru, rr, reach2 = test
     s = (cp * rf) * cy + (cp * rl) * sy + sp * ru
     t = min(max(s, 0.0), length)
     return rr - 2.0 * t * s + t * t <= reach2
@@ -224,8 +199,8 @@ class ConeConstraints:
     changes after it is built: a sweep's state lives in that function.
 
     Each visit first gathers the spheres within reach in one pass in plain
-    Python floats (_touch_spheres), then computes only their cell windows
-    (_windows) and tests only the cells its pick needs (_nearest_safe).
+    Python floats (_touch_spheres), then the inputs of each one's cell test
+    (_cell_tests), and tests only the cells its pick needs (_nearest_safe).
     Positions, the pivot and the frame arrive as the sweep's float tuples;
     every 3-vector dot product is rounded with geometry.fma, as np.dot does.
     """
@@ -281,7 +256,7 @@ class ConeConstraints:
             if not spheres:
                 return clamp_to_limits(desired.pitch, desired.yaw, limits)
             try:
-                return self._nearest_safe(joint, limits, desired, self._windows(joint, frame, pivot, spheres))
+                return self._nearest_safe(joint, limits, desired, self._cell_tests(joint, frame, pivot, spheres))
             except SafeSetEmpty:
                 raise SafeSetEmpty(joint=joint, phase=phase) from None
 
@@ -341,18 +316,17 @@ class ConeConstraints:
             spheres.append((x, y, z, touch))
         return spheres
 
-    def _windows(self, joint, frame, pivot, spheres):
-        """Per sphere, windows (i0, i1, j0, j1, rf, rl, ru, rr, reach**2):
-        the pitch and yaw cell ranges _hit may mark, and its inputs. A
-        sphere holding the pivot forbids every cell: SafeSetEmpty."""
-        (pedges, _, _, _), (yedges, _, _, _) = self.grids[joint]
+    def _cell_tests(self, joint, frame, pivot, spheres):
+        """Per sphere that the link can reach, the inputs (rf, rl, ru, rr,
+        reach**2) of its cell test _hit. A sphere holding the pivot forbids
+        every cell: SafeSetEmpty."""
         length, lip = self._lengths[joint], self._lips[joint]
         fx, fy, fz = frame.forward
         ux, uy, uz = frame.up
         # forward, lateral (up x forward), up
         triad = ((fx, fy, fz), (uy * fz - uz * fy, uz * fx - ux * fz, ux * fy - uy * fx), (ux, uy, uz))
         px, py, pz = pivot
-        windows = []
+        tests = []
         for x, y, z, touch in spheres:
             rx, ry, rz = x - px, y - py, z - pz
             rr = fma(rz, rz, fma(ry, ry, rx * rx))
@@ -362,51 +336,23 @@ class ConeConstraints:
                 continue
             if dist <= reach:
                 raise SafeSetEmpty()
-            if dist * dist <= length * length + reach * reach:
-                beta = math.asin(reach / dist)
-            else:
-                cos_beta = (dist * dist + length * length - reach * reach) / (2.0 * dist * length)
-                beta = math.acos(min(max(cos_beta, -1.0), 1.0))
-            # rel on the triad; the window is centred on its direction
+            # rel on the triad
             rf, rl, ru = (fma(rz, tz, fma(ry, ty, rx * tx)) for tx, ty, tz in triad)
-            pitch_c = math.asin(min(max(ru / dist, -1.0), 1.0))
-            yaw_c = math.atan2(rl, rf)
-            centers = [(pitch_c, yaw_c, 1.0)]
-            if pedges[0] < -0.5 * math.pi or pedges[-1] > 0.5 * math.pi:
-                # (+-pi - pitch, yaw + pi) aims the link the same way, with
-                # cos(pitch) negated
-                yaw_m = yaw_c - math.pi if yaw_c > 0.0 else yaw_c + math.pi
-                centers += [(math.pi - pitch_c, yaw_m, -1.0), (-math.pi - pitch_c, yaw_m, -1.0)]
-            for p_c, y_c, sign in centers:
-                p_lo = max(p_c - beta, pedges[0])
-                p_hi = min(p_c + beta, pedges[-1])
-                if p_lo > p_hi:
-                    continue
-                cos_min = min(sign * math.cos(p_lo), sign * math.cos(p_hi))
-                if cos_min < 1e-9:
-                    yaw_spans = [(yedges[0], yedges[-1])]
-                else:
-                    yaw_spans = _window_spans(y_c, beta / cos_min, yedges[0], yedges[-1])
-                i0, i1 = _index_range(pedges, p_lo, p_hi)
-                if i1 <= i0:
-                    continue
-                for s_lo, s_hi in yaw_spans:
-                    j0, j1 = _index_range(yedges, s_lo, s_hi)
-                    if j1 > j0:
-                        windows.append((i0, i1, j0, j1, rf, rl, ru, rr, reach * reach))
-        return windows
+            tests.append((rf, rl, ru, rr, reach * reach))
+        return tests
 
-    def _nearest_safe(self, joint, limits, desired, windows):
+    def _nearest_safe(self, joint, limits, desired, tests):
         """The desired angles clamped to the limits if their cell is safe,
         as most are, or else the closest point of a safe cell to the raw
         desired angles, ties broken on (pitch, yaw): lines along the longer
         axis u, outward from the clamped one while a line may hold a nearer
-        point, each walked both ways from the clamped cell to a safe one."""
+        point, each walked both ways from the clamped cell to a safe one.
+        A cell is safe when no sphere's _hit marks it."""
         grids, length = self.grids[joint], self._lengths[joint]
         (_, _, pcos, psin), (_, _, ycos, ysin) = grids
         clamped = clamp_to_limits(desired.pitch, desired.yaw, limits)
         u = int(len(grids[1][0]) >= len(grids[0][0]))
-        x, xo, uo = 1 - u, 2 - 2 * u, 2 * u  # window offsets of the axes' ranges
+        x = 1 - u
         (xe, _, xcos, xsin), (ue, uc, _, _) = grids[x], grids[u]
         xs, us = _cell_of(xe, clamped[x]), _cell_of(ue, clamped[u])
 
@@ -415,8 +361,7 @@ class ConeConstraints:
             return _hit(pcos[i], psin[i], ycos[j], ysin[j], w, length)
 
         def marking(c, a):
-            found = (w for w in windows if w[xo] <= c < w[xo + 1] and w[uo] <= a < w[uo + 1] and marks(w, c, a))
-            return next(found, None)
+            return next((w for w in tests if marks(w, c, a)), None)
 
         if marking(xs, us) is None:
             return clamped
@@ -426,8 +371,8 @@ class ConeConstraints:
             # c: s is P cos + Q sin + const along it, so short of cell z,
             # which holds the least s, cells from a hit and then miss; if z
             # itself hits, so does every cell
-            end = w[uo + 1] - 1 if side > 0 else w[uo]
-            rf, rl, ru = w[4:7]
+            end = len(uc) - 1 if side > 0 else 0
+            rf, rl, ru = w[:3]
             P, Q = (xcos[c] * rf, xcos[c] * rl) if u else (rf * xcos[c] + rl * xsin[c], ru)
             least = math.atan2(-Q, -P)
             z = _cell_of(ue, least) if ue[0] <= least <= ue[-1] else None

@@ -1,28 +1,25 @@
 """Frozen numpy reference for the chooser's narrow phase and search.
 
-A copy of ConeConstraints' sphere gathering (_touch_spheres) and cell
-rasterizer (_rasterize) as they ran on numpy arrays before the narrow
-phase moved to plain floats: einsum over the candidate spheres, np.dot
-and np.linalg.norm per sphere, np.cos / np.sin / np.outer over each cell
-window and np.searchsorted for the window's index range. One thing
+A copy of ConeConstraints' sphere gathering (_touch_spheres) as it ran on
+numpy arrays before the narrow phase moved to plain floats: einsum over
+the candidate spheres, np.dot and np.linalg.norm per sphere. One thing
 differs from that code: spheres of radius 0 are kept, because a
 zero-thickness link in a chain with thick links is a virtual self-sphere
 all the same (the touch distance still carries the visiting link's
-thickness and the margin). The rasterizer scans no mirrored windows, so
-it stands for joints whose pitch limits stay within +-pi/2.
+thickness and the margin). Beside it, a dense rasterizer: every kept
+sphere marks every cell of the joint's grid through np.cos / np.sin /
+np.outer, so no cell escapes the test, pitch past +-pi/2 included.
 
 Beside them, the nearest-safe search (_nearest_safe) as it ran before it
-moved to one grown box: the union box of the hit windows, then the
+moved to one grown box: the union box of the forbidden cells, then the
 regions of the limit rectangle outside that box by rectangle subtraction.
 
 ConeConstraints must give the same spheres (==, after the backward
-reflection), the same cell-test inputs (==), the same hit windows
-(array_equal) and the same pick (==) on every visit.
+reflection), the same cell-test inputs (==) and the same pick (==) on
+every visit.
 
-Last, MaskChooser: the chooser's rasterizer and search as they ran on
-boolean masks before the search became lazy, mirrored windows included:
-every window marked in full, then the nearest safe cell over the union box
-of the hit windows grown by one cell on each side. The lazy search must
+Last, MaskChooser: the dense rasterizer and a boolean-mask search, the
+nearest point of a safe cell over the whole grid. The lazy search must
 give its pick (==) on every visit.
 """
 
@@ -43,30 +40,6 @@ def axis_grid(lo, hi, resolution):
     edges[-1] = hi
     centers = 0.5 * (edges[:-1] + edges[1:])
     return edges, centers
-
-
-def window_spans(center, halfwidth, lo, hi):
-    """Angle intervals around `center`, wrapped into (-pi, pi], clipped."""
-    a, b = center - halfwidth, center + halfwidth
-    if b - a >= 2.0 * math.pi:
-        spans = [(-math.pi, math.pi)]
-    elif a < -math.pi:
-        spans = [(-math.pi, b), (a + 2.0 * math.pi, math.pi)]
-    elif b > math.pi:
-        spans = [(a, math.pi), (-math.pi, b - 2.0 * math.pi)]
-    else:
-        spans = [(a, b)]
-    return [(max(s, lo), min(e, hi)) for s, e in spans if max(s, lo) <= min(e, hi)]
-
-
-def index_range(edges, lo, hi):
-    """Half-open cell index range whose cells intersect [lo, hi]."""
-    n = len(edges) - 1
-    if n == 1:
-        return (0, 1) if hi >= edges[0] and lo <= edges[-1] else (0, 0)
-    i0 = int(np.searchsorted(edges, lo, side="right")) - 1
-    i1 = int(np.searchsorted(edges, hi, side="left"))
-    return max(i0, 0), min(max(i1, 0), n)
 
 
 def hit_cells(pitch, yaw, proj, length, reach):
@@ -170,10 +143,10 @@ class ReferenceNarrowPhase:
         return centers, radii + margin + thick_k
 
     def rasterize(self, joint, frame, pivot, centers, touch, cell_tests=None):
-        """Forbidden cells per sphere: list of (i0, j0, hit bool array).
-        cell_tests, if given, receives the arguments of every hit_cells
-        call: (pitch, yaw, proj, length, reach)."""
-        (pe, pc), (ye, yc) = self.grids[joint]
+        """Forbidden cells per kept sphere, each a bool array over the
+        whole grid. cell_tests, if given, receives the inputs of every
+        hit_cells call: (proj, length, reach)."""
+        (_, pc), (_, yc) = self.grids[joint]
         length = float(self.model.lengths[joint])
         lip = float(self._lips[joint])
         f, u = frame.forward, frame.up
@@ -186,63 +159,30 @@ class ReferenceNarrowPhase:
             if dist > length + reach:
                 continue
             if dist <= reach:
-                hits.append((0, 0, np.ones((len(pc), len(yc)), dtype=bool)))
+                hits.append(np.ones((len(pc), len(yc)), dtype=bool))
                 continue
-            if dist * dist <= length * length + reach * reach:
-                beta = math.asin(reach / dist)
-            else:
-                beta = math.acos(
-                    min(
-                        max(
-                            (dist * dist + length * length - reach * reach)
-                            / (2.0 * dist * length),
-                            -1.0,
-                        ),
-                        1.0,
-                    )
-                )
-            axis = rel / dist
-            pitch_c = math.asin(min(max(float(np.dot(axis, u)), -1.0), 1.0))
-            yaw_c = math.atan2(float(np.dot(axis, lat)), float(np.dot(axis, f)))
-            p_lo = max(pitch_c - beta, pe[0])
-            p_hi = min(pitch_c + beta, pe[-1])
-            if p_lo > p_hi:
-                continue
-            cos_min = min(math.cos(p_lo), math.cos(p_hi))
-            if cos_min < 1e-9:
-                yaw_spans = [(ye[0], ye[-1])]
-            else:
-                yaw_spans = window_spans(yaw_c, beta / cos_min, ye[0], ye[-1])
-            i0, i1 = index_range(pe, p_lo, p_hi)
             proj = (
                 float(np.dot(rel, f)),
                 float(np.dot(rel, lat)),
                 float(np.dot(rel, u)),
                 float(np.dot(rel, rel)),
             )
-            for s_lo, s_hi in yaw_spans:
-                j0, j1 = index_range(ye, s_lo, s_hi)
-                if i1 <= i0 or j1 <= j0:
-                    continue
-                if cell_tests is not None:
-                    cell_tests.append((pc[i0:i1], yc[j0:j1], proj, length, reach))
-                hit = hit_cells(pc[i0:i1], yc[j0:j1], proj, length, reach)
-                if hit.any():
-                    hits.append((i0, j0, hit))
+            if cell_tests is not None:
+                cell_tests.append((proj, length, reach))
+            hits.append(hit_cells(pc, yc, proj, length, reach))
         return hits
 
     def nearest_safe(self, joint, limits, desired, hits):
         """(pitch, yaw, outside): the desired angles clamped to the limits,
-        or the closest point outside all hits; outside tells whether a
-        region outside the union box of the hits gave the pick."""
+        or the closest point of a safe cell; outside tells whether a region
+        outside the union box of the forbidden cells gave the pick."""
         (pe, _), (ye, _) = self.grids[joint]
-        i0 = min(h[0] for h in hits)
-        j0 = min(h[1] for h in hits)
-        i1 = max(h[0] + h[2].shape[0] for h in hits)
-        j1 = max(h[1] + h[2].shape[1] for h in hits)
-        forbidden = np.zeros((i1 - i0, j1 - j0), dtype=bool)
-        for hi, hj, hit in hits:
-            forbidden[hi - i0 : hi - i0 + hit.shape[0], hj - j0 : hj - j0 + hit.shape[1]] |= hit
+        union = np.logical_or.reduce(hits) if hits else np.zeros((len(pe) - 1, len(ye) - 1), dtype=bool)
+        if not union.any():
+            return (*clamp_to_limits(desired.pitch, desired.yaw, limits), False)
+        rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+        i0, i1, j0, j1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+        forbidden = union[i0:i1, j0:j1]
 
         p_clamp, y_clamp = clamp_to_limits(desired.pitch, desired.yaw, limits)
         ci = cell_of(pe, p_clamp) - i0
@@ -310,9 +250,9 @@ def rect_difference(rects, cut):
 
 
 class MaskChooser:
-    """The mask rasterizer and grown-box search of one chooser. pick takes
-    the spheres the planner gathered for a visit and returns the pick, or
-    None where the search raised SafeSetEmpty."""
+    """The dense rasterizer and mask search of one chooser. rasterize takes
+    the spheres the planner gathered for a visit, and pick its hits; pick
+    returns the pick, or None where no cell is safe."""
 
     def __init__(self, model, cfg):
         res = cfg.angular_resolution
@@ -324,8 +264,9 @@ class MaskChooser:
         self.lips = self.lengths * 0.5 * res * math.sqrt(2.0) * 1.0001
 
     def rasterize(self, joint, frame, pivot, spheres):
-        """Forbidden cells per window: list of (i0, j0, hit bool array)."""
-        (pe, pc), (ye, yc) = self.grids[joint]
+        """Forbidden cells per kept sphere, each a bool array over the whole
+        grid."""
+        (_, pc), (_, yc) = self.grids[joint]
         length, lip = float(self.lengths[joint]), float(self.lips[joint])
         f, u = np.asarray(frame.forward), np.asarray(frame.up)
         lat = np.array([u[1] * f[2] - u[2] * f[1], u[2] * f[0] - u[0] * f[2], u[0] * f[1] - u[1] * f[0]])
@@ -337,60 +278,25 @@ class MaskChooser:
             if dist > length + reach:
                 continue
             if dist <= reach:
-                hits.append((0, 0, np.ones((len(pc), len(yc)), dtype=bool)))
+                hits.append(np.ones((len(pc), len(yc)), dtype=bool))
                 continue
-            if dist * dist <= length * length + reach * reach:
-                beta = math.asin(reach / dist)
-            else:
-                beta = math.acos(min(max((dist * dist + length * length - reach * reach) / (2.0 * dist * length), -1.0), 1.0))
-            axis = rel / dist
-            pitch_c = math.asin(min(max(float(np.dot(axis, u)), -1.0), 1.0))
-            yaw_c = math.atan2(float(np.dot(axis, lat)), float(np.dot(axis, f)))
             proj = (float(np.dot(rel, f)), float(np.dot(rel, lat)), float(np.dot(rel, u)), float(np.dot(rel, rel)))
-            centers = [(pitch_c, yaw_c, 1.0)]
-            if pe[0] < -0.5 * math.pi or pe[-1] > 0.5 * math.pi:
-                yaw_m = yaw_c - math.pi if yaw_c > 0.0 else yaw_c + math.pi
-                centers += [(math.pi - pitch_c, yaw_m, -1.0), (-math.pi - pitch_c, yaw_m, -1.0)]
-            for p_c, y_c, sign in centers:
-                p_lo, p_hi = max(p_c - beta, pe[0]), min(p_c + beta, pe[-1])
-                if p_lo > p_hi:
-                    continue
-                cos_min = min(sign * math.cos(p_lo), sign * math.cos(p_hi))
-                if cos_min < 1e-9:
-                    yaw_spans = [(ye[0], ye[-1])]
-                else:
-                    yaw_spans = window_spans(y_c, beta / cos_min, ye[0], ye[-1])
-                i0, i1 = index_range(pe, p_lo, p_hi)
-                for s_lo, s_hi in yaw_spans:
-                    j0, j1 = index_range(ye, s_lo, s_hi)
-                    if i1 <= i0 or j1 <= j0:
-                        continue
-                    hit = hit_cells(pc[i0:i1], yc[j0:j1], proj, length, reach)
-                    if hit.any():
-                        hits.append((i0, j0, hit))
+            hits.append(hit_cells(pc, yc, proj, length, reach))
         return hits
 
-    def pick(self, joint, desired, limits, frame, pivot, spheres):
+    def pick(self, joint, desired, limits, hits):
+        """The pick for a visit whose spheres rasterize to `hits`."""
         p_clamp, y_clamp = clamp_to_limits(desired.pitch, desired.yaw, limits)
-        hits = self.rasterize(joint, frame, np.asarray(pivot), spheres) if spheres else []
-        (pe, _), (ye, _) = self.grids[joint]
-        ci, cj = cell_of(pe, p_clamp), cell_of(ye, y_clamp)
-        if not any(
-            0 <= ci - hi < hit.shape[0] and 0 <= cj - hj < hit.shape[1] and hit[ci - hi, cj - hj]
-            for hi, hj, hit in hits
-        ):
+        if not hits:
             return p_clamp, y_clamp
-        g0 = max(min(h[0] for h in hits) - 1, 0)
-        h0 = max(min(h[1] for h in hits) - 1, 0)
-        g1 = min(max(h[0] + h[2].shape[0] for h in hits) + 1, len(pe) - 1)
-        h1 = min(max(h[1] + h[2].shape[1] for h in hits) + 1, len(ye) - 1)
-        grown = np.zeros((g1 - g0, h1 - h0), dtype=bool)
-        for hi, hj, hit in hits:
-            grown[hi - g0 : hi - g0 + hit.shape[0], hj - h0 : hj - h0 + hit.shape[1]] |= hit
-        cp = np.minimum(np.maximum(desired.pitch, pe[g0:g1]), pe[g0 + 1 : g1 + 1])
-        cy = np.minimum(np.maximum(desired.yaw, ye[h0:h1]), ye[h0 + 1 : h1 + 1])
+        (pe, _), (ye, _) = self.grids[joint]
+        forbidden = np.logical_or.reduce(hits)
+        if not forbidden[cell_of(pe, p_clamp), cell_of(ye, y_clamp)]:
+            return p_clamp, y_clamp
+        cp = np.minimum(np.maximum(desired.pitch, pe[:-1]), pe[1:])
+        cy = np.minimum(np.maximum(desired.yaw, ye[:-1]), ye[1:])
         d2 = (cp - desired.pitch)[:, None] ** 2 + (cy - desired.yaw)[None, :] ** 2
-        d2[grown] = np.inf
+        d2[forbidden] = np.inf
         best = d2.min()
         if best == np.inf:
             return None

@@ -55,7 +55,9 @@ def test_validator_uses_no_planner_name():
 def test_chooser_visit_path_uses_no_numpy():
     """A chooser visit runs in plain floats: ConeConstraints.__call__, the
     choose function it returns, and every method or package function they
-    reach name no np attribute."""
+    reach name no np attribute. Nor do they call math.asin or math.acos:
+    the cell test alone decides which cells are forbidden, with no angular
+    window drawn around a sphere."""
     functions = {}
     for module in ("planner", "fabrik", "geometry"):
         for node in ast.parse((ROOT / "src" / "vofabrik" / f"{module}.py").read_text()).body:
@@ -73,10 +75,11 @@ def test_chooser_visit_path_uses_no_numpy():
         reached.add(name)
         node = functions[name]
         assert not attributes(node, "np"), (name, sorted(attributes(node, "np")))
+        assert not attributes(node, "math") & {"asin", "acos"}, (name, sorted(attributes(node, "math")))
         used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         used |= {f"self.{a}" for a in attributes(node, "self")}
         todo.extend(sorted((used & functions.keys()) - reached))
-    assert {"self._touch_spheres", "self._windows", "self._nearest_safe", "_hit", "clamp_to_limits", "fma"} <= reached
+    assert {"self._touch_spheres", "self._cell_tests", "self._nearest_safe", "_hit", "clamp_to_limits", "fma"} <= reached
 
 
 def test_min_clearance_has_one_row_arithmetic():

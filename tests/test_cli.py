@@ -94,6 +94,32 @@ class TestRun:
         assert code == 2
         assert "error: link 0 length must lie within" in capsys.readouterr().err
 
+    def test_link_degenerate_once_placed_exits_two(self, planar_2link, tmp_path, capsys):
+        # a 1e-12 m middle link passes the length bound, but fk at a base
+        # 1e6 m out rounds it shorter than DEGENERACY_THRESHOLD
+        doc = json.loads(Path(planar_2link).read_text())
+        doc["chain"]["base"] = [1e6, 0.0, 0.0]
+        doc["chain"]["links"] = [{"length": length, "thickness": 0.0} for length in (0.1, 1e-12, 0.1)]
+        doc["chain"]["limits"] = [{"pitch": [-1.0, 1.0], "yaw": [-1.0, 1.0]}] * 3
+        doc["initial_angles"] = [[0.0, 0.0]] * 3
+        doc["goal"] = [1e6 + 0.15, 0.01, 0.0]
+        doc["obstacles"] = []
+        scenario = tmp_path / "degenerate.json"
+        scenario.write_text(json.dumps(doc))
+        code = main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "error: initial_angles: segment endpoints coincide" in capsys.readouterr().err
+
+    def test_obstacle_radius_out_of_range_exits_two(self, planar_2link, tmp_path, capsys):
+        # a ValidationError since obstacles follow the links' error type
+        doc = json.loads(Path(planar_2link).read_text())
+        doc["obstacles"][0]["radius"] = 1e-13
+        scenario = tmp_path / "tiny.json"
+        scenario.write_text(json.dumps(doc))
+        code = main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "radius must lie within" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_fresh_trajectory_passes(self, planar_3link, tmp_path, capsys):

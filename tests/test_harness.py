@@ -1,9 +1,10 @@
 """Scenario loading, trajectory CSV round-trips, and the independent validator."""
 
 import json
+import math
 import re
 import warnings
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -141,9 +142,22 @@ class TestLoadScenario:
             scenario_from_dict(doc)
 
     def test_obstacle_radius_must_be_positive(self):
+        # a well-formed radius out of range violates an invariant, as a
+        # link length out of range does
         doc = toy_doc()
         doc["obstacles"][0]["radius"] = 0.0
-        with pytest.raises(ParseError, match=r"obstacles\[0\]"):
+        with pytest.raises(ValidationError, match=r"obstacles\[0\]: obstacle radius must lie within"):
+            scenario_from_dict(doc)
+
+    def test_link_degenerate_once_placed_rejected_at_load(self):
+        # 1e-12 m passes the link length bound, but fk at a base 1e6 m out
+        # rounds the placed link shorter than DEGENERACY_THRESHOLD
+        doc = toy_doc()
+        doc["chain"]["base"] = [1e6, 0.0, 0.0]
+        doc["chain"]["links"][1] = {"length": 1e-12, "thickness": 0.0}
+        doc["goal"] = [1e6 + 0.15, 0.01, 0.0]
+        doc["obstacles"] = []
+        with pytest.raises(ValidationError, match="segment endpoints coincide"):
             scenario_from_dict(doc)
 
     def test_non_unit_base_direction(self):
@@ -361,6 +375,16 @@ class TestTrajectoryRecord:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="fields"):
             TrajectoryRecord.read_csv(path)
+
+    @pytest.mark.parametrize("step", [1.7, math.nan, math.inf, -math.inf, 1e300, 2.0**63])
+    def test_built_record_rejects_non_integral_step(self, step):
+        record = self.make_record()
+        steps = [0.0, step, 5.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step indices must be finite integers"):
+                replace(record, steps=steps)
+            assert replace(record, steps=[0.0, 1.0, 5.0]).steps.tolist() == [0, 1, 5]
 
     @pytest.mark.parametrize("step", ["1.7", "nan", "1e300", "0", "-1", str(2**63)])
     def test_read_rejects_broken_step(self, tmp_path, step):

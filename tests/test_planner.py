@@ -1,5 +1,5 @@
 """Planner tests: the angle chooser's safe region, virtual self-spheres,
-cell windows and lazy search, checked on the chooser plan() runs, the outer
+cell test and lazy search, checked on the chooser plan() runs, the outer
 goal-stepping loop, and random small scenarios from load to validation."""
 
 import itertools
@@ -78,7 +78,7 @@ def snake_chain(n=19, length=0.08, thickness=0.012, swing=1.2):
     )
 
 
-# every direction once: the chooser's windows assume |pitch| <= pi/2
+# every direction once: pitch within +-pi/2, yaw all round
 FREE = JointLimits(-math.pi / 2, math.pi / 2, -math.pi, math.pi)
 
 
@@ -285,8 +285,8 @@ CHOOSER_CASES = {
         [sphere_toward(0.08, 0.1, math.pi - 0.1, 0.02)],
         Phase.FORWARD, 0, (-0.8, 1.0), (math.pi - 1.0, math.pi + 0.8),
     ),
-    # pitch reaches past pi/2, where the window's cosine turns negative and
-    # only the pole branch (every yaw) marks cells
+    # pitch reaches past pi/2, where cos(pitch) turns negative: a sphere
+    # at the pole is hit at every yaw
     "pole": (
         lambda: two_link(JointLimits(-math.pi / 2, 2.0, -math.pi, math.pi)),
         [sphere_toward(0.08, math.pi / 2, 0.0, 0.02)],
@@ -872,42 +872,50 @@ class TestFloatFacts:
                 norm2 = vofabrik.geometry.fma(x2, x2, vofabrik.geometry.fma(x1, x1, x0 * x0))
                 assert math.sqrt(norm2) == float(np.linalg.norm(x)), scale
 
-    def test_grid_trig_tables_equal_trig_of_each_window(self):
+    def test_grid_trig_tables_equal_trig_of_the_grid(self):
         res = PlannerConfig().angular_resolution
-        rng = np.random.default_rng(13)
         for lo, hi in ((-math.pi, math.pi), (-1.4, 1.4), (-math.pi / 2, 2.0), (0.0, 0.0)):
             tables = vofabrik.planner._axis_grid(lo, hi, res)
             edges, centers, cos, sin = (np.array(t) for t in tables)
             assert all(type(t) is tuple and all(type(v) is float for v in t) for t in tables)
             assert np.array_equal(centers, 0.5 * (edges[:-1] + edges[1:]))
-            for _ in range(200):
-                i, j = sorted(rng.integers(0, len(centers) + 1, size=2))
-                assert np.array_equal(cos[i:j], np.cos(centers[i:j])) and np.array_equal(
-                    sin[i:j], np.sin(centers[i:j])
-                ), "np.cos / np.sin of a window must equal the same window of the float tables"
+            assert np.array_equal(cos, np.cos(centers)) and np.array_equal(
+                sin, np.sin(centers)
+            ), "np.cos / np.sin of the grid's centers must equal the float tables"
 
 
-def expand(window, grids, length):
-    """A window's cells, marked cell by cell through the planner's cell test."""
+def expand(test, grids, length, step=1):
+    """The whole grid, every step-th row and column of it, marked cell by
+    cell through the planner's cell test."""
     (_, _, pcos, psin), (_, _, ycos, ysin) = grids
-    i0, i1, j0, j1 = window[:4]
+    rows, cols = zip(pcos[::step], psin[::step]), list(zip(ycos[::step], ysin[::step]))
     return np.array(
-        [
-            [vofabrik.planner._hit(pcos[i], psin[i], ycos[j], ysin[j], window, length) for j in range(j0, j1)]
-            for i in range(i0, i1)
-        ],
+        [[vofabrik.planner._hit(cp, sp, cy, sy, test, length) for cy, sy in cols] for cp, sp in rows],
         dtype=bool,
-    ).reshape(i1 - i0, j1 - j0)
+    )
+
+
+def in_safe_cell(chooser, joint, pick, tests):
+    """Whether a cell holding the pick (its edges included) is one that no
+    test marks through the planner's cell test."""
+    (pe, _, pcos, psin), (ye, _, ycos, ysin) = chooser.grids[joint]
+    length = chooser._lengths[joint]
+    rows = [i for i in range(len(pe) - 1) if pe[i] <= pick[0] <= pe[i + 1]]
+    cols = [j for j in range(len(ye) - 1) if ye[j] <= pick[1] <= ye[j + 1]]
+    return any(
+        not any(vofabrik.planner._hit(pcos[i], psin[i], ycos[j], ysin[j], t, length) for t in tests)
+        for i in rows
+        for j in cols
+    )
 
 
 class CheckedChooser(ConeConstraints):
     """The planner's chooser, checking on every visit against the frozen
     numpy reference in chooser_reference: the same spheres (==), the same
-    inputs to each window's cell test (==, the float tables against np.cos
-    / np.sin of the window), each window expanded cell by cell through the
-    planner's cell test equal to the reference's hit windows (array_equal),
-    and the same pick (==) as the reference's union box and outside
-    regions, with SafeSetEmpty in the same cases."""
+    inputs to each sphere's cell test (==), each sphere's grid marked cell
+    by cell through the planner's cell test equal to the reference's
+    (array_equal), and the same pick (==) as the reference's union-box
+    search, with SafeSetEmpty in the same cases."""
 
     visits = rejected = rasterized = outside = 0
 
@@ -935,53 +943,36 @@ class CheckedChooser(ConeConstraints):
         type(self).rejected += not spheres
         return spheres
 
-    def _windows(self, joint, frame, pivot, spheres):
+    def _cell_tests(self, joint, frame, pivot, spheres):
         centers = np.array([s[:3] for s in spheres])
         touch = np.array([s[3] for s in spheres])
         want_tests = []
         self.expected = self.reference.rasterize(joint, frame, np.asarray(pivot), centers, touch, want_tests)
         type(self).rasterized += 1
         try:
-            windows = super()._windows(joint, frame, pivot, spheres)
+            tests = super()._cell_tests(joint, frame, pivot, spheres)
         except SafeSetEmpty:
             # a sphere holds the pivot: the reference marks every cell
-            full = (len(self.grids[joint][0][1]), len(self.grids[joint][1][1]))
-            assert any(hit.shape == full and hit.all() for _, _, hit in self.expected), joint
+            assert any(hit.all() for hit in self.expected), joint
             raise
         length = self._lengths[joint]
-        (_, pc, pcos, psin), (_, yc, ycos, ysin) = self.grids[joint]
-        assert len(windows) == len(want_tests), joint
-        hits = []
-        for w, (pitch, yaw, proj, want_length, reach) in zip(windows, want_tests):
-            i0, i1, j0, j1, *inputs = w
-            assert (inputs, length) == ([*proj, reach * reach], want_length), joint
-            assert list(pc[i0:i1]) == pitch.tolist() and list(yc[j0:j1]) == yaw.tolist(), joint
-            for table, want in (
-                (pcos[i0:i1], np.cos(pitch)),
-                (psin[i0:i1], np.sin(pitch)),
-                (ycos[j0:j1], np.cos(yaw)),
-                (ysin[j0:j1], np.sin(yaw)),
-            ):
-                assert list(table) == want.tolist(), joint
-            hit = expand(w, self.grids[joint], length)
-            if hit.any():
-                hits.append((i0, j0, hit))
-        assert [h[:2] for h in hits] == [h[:2] for h in self.expected], joint
-        for (_, _, hit), (_, _, want) in zip(hits, self.expected):
-            assert np.array_equal(hit, want), joint
-        return windows
+        want = [(*proj, reach * reach, want_length) for proj, want_length, reach in want_tests]
+        assert [(*test, length) for test in tests] == want, joint
+        # cell by cell in plain Python: every cell of a one-axis grid, every
+        # 7th row and column of a two-axis one, to keep the suite quick
+        step = 1 if min(len(self.grids[joint][0][1]), len(self.grids[joint][1][1])) == 1 else 7
+        for test, hit in zip(tests, self.expected):
+            assert np.array_equal(expand(test, self.grids[joint], length, step), hit[::step, ::step]), joint
+        return tests
 
-    def _nearest_safe(self, joint, limits, desired, windows):
-        if not self.expected:
-            want, outside = clamp_to_limits(desired.pitch, desired.yaw, limits), False
-        else:
-            try:
-                *want, outside = self.reference.nearest_safe(joint, limits, desired, self.expected)
-            except SafeSetEmpty:
-                with pytest.raises(SafeSetEmpty):
-                    super()._nearest_safe(joint, limits, desired, windows)
-                raise
-        got = super()._nearest_safe(joint, limits, desired, windows)
+    def _nearest_safe(self, joint, limits, desired, tests):
+        try:
+            *want, outside = self.reference.nearest_safe(joint, limits, desired, self.expected)
+        except SafeSetEmpty:
+            with pytest.raises(SafeSetEmpty):
+                super()._nearest_safe(joint, limits, desired, tests)
+            raise
+        got = super()._nearest_safe(joint, limits, desired, tests)
         assert got == tuple(want), (joint, desired)
         type(self).outside += outside
         return got
@@ -1046,18 +1037,19 @@ class TestBroadPhaseReject:
 
 
 class RecordingChooser(ConeConstraints):
-    """The planner's chooser, keeping the last visit's spheres and windows."""
+    """The planner's chooser, keeping the last visit's spheres and the
+    inputs of their cell tests."""
 
-    spheres = windows = ()
+    spheres = tests = ()
 
     def _touch_spheres(self, *args):
         self.spheres = super()._touch_spheres(*args)
-        self.windows = ()
+        self.tests = ()
         return self.spheres
 
-    def _windows(self, *args):
-        self.windows = super()._windows(*args)
-        return self.windows
+    def _cell_tests(self, *args):
+        self.tests = super()._cell_tests(*args)
+        return self.tests
 
 
 def random_limits(kind, rng, n):
@@ -1069,83 +1061,150 @@ def random_limits(kind, rng, n):
     return [JointLimits.unlimited()] * n
 
 
-class TestLazySearch:
-    """The lazy search against chooser_reference.MaskChooser, the mask
-    rasterizer and grown-box search it replaced, on direct visits of random
-    chains and poses with random desired angles, within and past the
-    limits: the pick must be == and SafeSetEmpty must come in the same
-    cases. Seeded, so every run checks the same visits."""
+def lazy_visits(kind, chains):
+    """The seeded chooser visits of one family: random chains and poses
+    with random desired angles, within and past the limits. Each visit
+    holds its chain, its config, the chooser (whose spheres and tests are
+    the visit's), phase, joint, desired angles, limits, frame, pivot and
+    pick, None where the chooser raised SafeSetEmpty."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    grazing = kind.startswith("grazing")
+    for _ in range(chains):
+        n = int(rng.integers(2, 9))
+        model = ChainModel(
+            base=np.zeros(3),
+            base_direction=np.array([1.0, 0.0, 0.0]),
+            links=[LinkSpec(float(rng.uniform(0.04, 0.12)), float(rng.uniform(0.0, 0.015)))] * n,
+            limits=random_limits(kind.removeprefix("grazing_"), rng, n),
+        )
+        cfg = PlannerConfig(clearance_margin=float(rng.choice([0.0, 5e-3])))
+        angles = np.array([rng.uniform((l.pitch_min, l.yaw_min), (l.pitch_max, l.yaw_max)) for l in model.limits])
+        state = state_from_angles(model, angles)
+        p = state.positions
+        frames = joint_frames(model, state.angles)
+        obstacles, aims = [], {}
+        for _ in range(int(rng.integers(1, 5))):
+            k = int(rng.integers(0, n))
+            radius = float(rng.uniform(0.005, 0.04))
+            if grazing:
+                # the touch sphere (reach R) reaches just past the tip
+                # circle of link k at angles within its limits: seen from
+                # forward joint k it spans half-angle
+                # beta = acos((d^2 + L^2 - R^2) / (2 d L)), under a cell
+                lim = model.limits[k]
+                pitch, yaw = rng.uniform((lim.pitch_min, lim.yaw_min), (lim.pitch_max, lim.yaw_max))
+                direction = link_directions(frames[k], [pitch], [yaw])[0]
+                aims.setdefault(k, []).append((pitch, yaw))
+                length = float(model.lengths[0])
+                lip = length * 0.5 * cfg.angular_resolution * math.sqrt(2.0) * 1.0001
+                reach = radius + cfg.clearance_margin + float(model.thicknesses[0]) + lip
+                beta = float(rng.uniform(0.0, cfg.angular_resolution))
+                dist = length * math.cos(beta) + math.sqrt(reach**2 - (length * math.sin(beta)) ** 2)
+            else:
+                direction = rng.normal(size=3)
+                direction /= np.linalg.norm(direction)
+                dist = float(rng.uniform(0.0, 0.15))
+            obstacles.append(SphereObstacle(p[k] + dist * direction, radius))
+        chooser = RecordingChooser(model, obstacles, cfg)
+        for phase in (Phase.BACKWARD, Phase.FORWARD):
+            choose = chooser(phase, list(map(tuple, p.tolist())))
+            for k, lim in enumerate(model.limits):
+                pivot = tuple(p[k + 1] if phase is Phase.BACKWARD else p[k])
+                for _ in range(20):
+                    if phase is Phase.FORWARD and k in aims and rng.random() < 0.5:
+                        # within two cells of a grazing sphere's aim
+                        aim = aims[k][int(rng.integers(len(aims[k])))]
+                        pick = aim + rng.uniform(-2.0, 2.0, size=2) * cfg.angular_resolution
+                    else:
+                        pick = rng.uniform(
+                            (lim.pitch_min - 0.3, lim.yaw_min - 0.3), (lim.pitch_max + 0.3, lim.yaw_max + 0.3)
+                        )
+                    desired = JointAngles(*np.clip(pick, -math.pi, math.pi).tolist())
+                    try:
+                        got = choose(k, desired, lim, frames[k], pivot)
+                    except SafeSetEmpty:
+                        got = None
+                    yield SimpleNamespace(
+                        model=model, cfg=cfg, chooser=chooser, phase=phase, joint=k,
+                        desired=desired, limits=lim, frame=frames[k], pivot=pivot, pick=got,
+                    )
 
-    @pytest.mark.parametrize(
-        "kind, chains",
-        [("snake1", 40), ("snake2", 25), ("unlimited", 4), ("grazing_snake1", 30), ("grazing_snake2", 20)],
-    )
+
+LAZY_FAMILIES = [("snake1", 40), ("snake2", 25), ("unlimited", 4), ("grazing_snake1", 30), ("grazing_snake2", 20)]
+
+
+def few_cells(hit):
+    """Whether a sphere's forbidden cells are some, and fit in 3 x 3 cells."""
+    rows, cols = np.flatnonzero(hit.any(axis=1)), np.flatnonzero(hit.any(axis=0))
+    return rows.size > 0 and rows[-1] - rows[0] < 3 and cols[-1] - cols[0] < 3
+
+
+class TestLazySearch:
+    """The lazy search against chooser_reference.MaskChooser, which marks
+    every cell of the grid and takes the nearest point of a safe cell, on
+    the seeded visits of lazy_visits: the pick must be == and SafeSetEmpty
+    must come in the same cases. Seeded, so every run checks the same
+    visits."""
+
+    @pytest.mark.parametrize("kind, chains", LAZY_FAMILIES)
     def test_pick_matches_frozen_mask_chooser(self, kind, chains):
-        rng = np.random.default_rng(sum(map(ord, kind)))
-        grazing = kind.startswith("grazing")
         visits = searched = empty = small = 0
-        for _ in range(chains):
-            n = int(rng.integers(2, 9))
-            model = ChainModel(
-                base=np.zeros(3),
-                base_direction=np.array([1.0, 0.0, 0.0]),
-                links=[LinkSpec(float(rng.uniform(0.04, 0.12)), float(rng.uniform(0.0, 0.015)))] * n,
-                limits=random_limits(kind.removeprefix("grazing_"), rng, n),
-            )
-            cfg = PlannerConfig(clearance_margin=float(rng.choice([0.0, 5e-3])))
-            angles = np.array([rng.uniform((l.pitch_min, l.yaw_min), (l.pitch_max, l.yaw_max)) for l in model.limits])
-            state = state_from_angles(model, angles)
-            p = state.positions
-            frames = joint_frames(model, state.angles)
-            obstacles, aims = [], {}
-            for _ in range(int(rng.integers(1, 5))):
-                k = int(rng.integers(0, n))
-                radius = float(rng.uniform(0.005, 0.04))
-                if grazing:
-                    # the touch sphere (reach R) reaches just past the tip
-                    # circle of link k at angles within its limits: at
-                    # forward joint k its angular window has half-width
-                    # beta = acos((d^2 + L^2 - R^2) / (2 d L)), under a cell
-                    lim = model.limits[k]
-                    pitch, yaw = rng.uniform((lim.pitch_min, lim.yaw_min), (lim.pitch_max, lim.yaw_max))
-                    direction = link_directions(frames[k], [pitch], [yaw])[0]
-                    aims.setdefault(k, []).append((pitch, yaw))
-                    length = float(model.lengths[0])
-                    lip = length * 0.5 * cfg.angular_resolution * math.sqrt(2.0) * 1.0001
-                    reach = radius + cfg.clearance_margin + float(model.thicknesses[0]) + lip
-                    beta = float(rng.uniform(0.0, cfg.angular_resolution))
-                    dist = length * math.cos(beta) + math.sqrt(reach**2 - (length * math.sin(beta)) ** 2)
-                else:
-                    direction = rng.normal(size=3)
-                    direction /= np.linalg.norm(direction)
-                    dist = float(rng.uniform(0.0, 0.15))
-                obstacles.append(SphereObstacle(p[k] + dist * direction, radius))
-            chooser = RecordingChooser(model, obstacles, cfg)
-            mask = MaskChooser(model, cfg)
-            for phase in (Phase.BACKWARD, Phase.FORWARD):
-                choose = chooser(phase, list(map(tuple, p.tolist())))
-                for k, lim in enumerate(model.limits):
-                    pivot = tuple(p[k + 1] if phase is Phase.BACKWARD else p[k])
-                    for _ in range(20):
-                        if phase is Phase.FORWARD and k in aims and rng.random() < 0.5:
-                            # within two cells of a grazing sphere's aim
-                            aim = aims[k][int(rng.integers(len(aims[k])))]
-                            pick = aim + rng.uniform(-2.0, 2.0, size=2) * cfg.angular_resolution
-                        else:
-                            pick = rng.uniform(
-                                (lim.pitch_min - 0.3, lim.yaw_min - 0.3), (lim.pitch_max + 0.3, lim.yaw_max + 0.3)
-                            )
-                        desired = JointAngles(*np.clip(pick, -math.pi, math.pi).tolist())
-                        try:
-                            got = choose(k, desired, lim, frames[k], pivot)
-                        except SafeSetEmpty:
-                            got = None
-                        want = mask.pick(k, desired, lim, frames[k], pivot, chooser.spheres)
-                        assert got == (None if want is None else tuple(want)), (phase, k, desired)
-                        visits += 1
-                        empty += got is None
-                        searched += got not in (None, clamp_to_limits(desired.pitch, desired.yaw, lim))
-                        small += any(w[1] - w[0] <= 3 and w[3] - w[2] <= 3 for w in chooser.windows)
+        seen = None
+        for v in lazy_visits(kind, chains):
+            # the visits of one joint in one sweep share their spheres
+            if seen != (v.chooser, v.phase, v.joint):
+                if seen is None or seen[0] is not v.chooser:
+                    mask = MaskChooser(v.model, v.cfg)
+                seen = (v.chooser, v.phase, v.joint)
+                hits = mask.rasterize(v.joint, v.frame, np.asarray(v.pivot), v.chooser.spheres)
+                grazed = any(few_cells(hit) for hit in hits)
+            want = mask.pick(v.joint, v.desired, v.limits, hits)
+            assert v.pick == (None if want is None else tuple(want)), (v.phase, v.joint, v.desired)
+            visits += 1
+            empty += v.pick is None
+            searched += v.pick not in (None, clamp_to_limits(v.desired.pitch, v.desired.yaw, v.limits))
+            small += grazed
         assert searched > 0.02 * visits and empty > 0, (visits, searched, empty)
-        if grazing:
+        if kind.startswith("grazing"):
             assert small > 0.1 * visits, (visits, small)
+
+    @pytest.mark.parametrize("kind, chains", LAZY_FAMILIES)
+    def test_pick_lies_in_a_safe_cell(self, kind, chains):
+        picks = 0
+        for v in lazy_visits(kind, chains):
+            if v.pick is not None and v.chooser.tests:
+                assert in_safe_cell(v.chooser, v.joint, v.pick, v.chooser.tests), (v.phase, v.joint, v.desired)
+                picks += 1
+        assert picks > 0
+
+    def test_pick_beside_a_wide_forbidden_region_is_safe(self):
+        # a visit of the seeded snake2 family: the kept sphere's forbidden
+        # cells reach farther in yaw than beta / cos(pitch) from its
+        # direction (beta its angular radius from the pivot), so a search
+        # bounded that way would take a forbidden cell for safe
+        model = ChainModel(
+            base=np.zeros(3),
+            base_direction=np.array([1.0, 0.0, 0.0]),
+            links=[LinkSpec(0.08191034313757478, 0.014636833744258131)] * 2,
+            limits=[
+                JointLimits.symmetric(0.2956284471739212, 0.34768876316293107),
+                JointLimits.symmetric(0.6233863231228423, 0.22426098342162598),
+            ],
+        )
+        angles = [[-0.05381794077597865, 0.19120680793674227], [-0.3728091350954864, 0.17836425547547002]]
+        state = state_from_angles(model, np.array(angles))
+        obstacles = [
+            SphereObstacle(np.array(center), radius)
+            for center, radius in (
+                ([0.02095195550281849, 0.00783541702414504, 0.016989098665262096], 0.038896791508050865),
+                ([0.12113338660885625, -0.001942876281051907, 0.025963727092120765], 0.03413966879382465),
+                ([-0.01906832304394093, 0.016229723811280128, 0.030977131088593547], 0.013139401562172998),
+                ([-0.07440972427010609, 0.059756258552236666, -0.10761603442495705], 0.029624872457647403),
+            )
+        ]
+        chooser = RecordingChooser(model, obstacles, PlannerConfig(clearance_margin=5e-3))
+        choose = chooser(Phase.BACKWARD, list(map(tuple, state.positions.tolist())))
+        desired = JointAngles(-0.7902768990059019, 0.07783251967074101)
+        pick = choose(1, desired, model.limits[1], joint_frames(model, state.angles)[1], tuple(state.positions[2]))
+        assert chooser.tests and pick != clamp_to_limits(desired.pitch, desired.yaw, model.limits[1])
+        assert in_safe_cell(chooser, 1, pick, chooser.tests), pick
