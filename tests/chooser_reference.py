@@ -44,6 +44,12 @@ def axis_grid(lo, hi, resolution):
 
 def hit_cells(pitch, yaw, proj, length, reach):
     """Cells whose link segment passes within `reach` of a sphere center."""
+    return cell_d2(pitch, yaw, proj, length) <= reach * reach
+
+
+def cell_d2(pitch, yaw, proj, length):
+    """Squared distance from a sphere center to the link segment of each
+    cell."""
     rf, rl, ru, rr = proj
     cp, sp = np.cos(pitch), np.sin(pitch)
     cy, sy = np.cos(yaw), np.sin(yaw)
@@ -53,8 +59,7 @@ def hit_cells(pitch, yaw, proj, length, reach):
         + np.outer(sp, np.ones_like(cy)) * ru
     )
     t = np.clip(s, 0.0, length)
-    d2 = rr - 2.0 * t * s + t * t
-    return d2 <= reach * reach
+    return rr - 2.0 * t * s + t * t
 
 
 class ReferenceNarrowPhase:

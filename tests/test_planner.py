@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import vofabrik.geometry
 import vofabrik.planner
 from chooser_oracle import ChooserCase, link_directions
-from chooser_reference import MaskChooser, ReferenceNarrowPhase
+from chooser_reference import MaskChooser, ReferenceNarrowPhase, cell_d2
 from clearance_oracle import scalar_min_clearance
 from vofabrik.chain import (
     ChainModel,
@@ -884,15 +884,26 @@ class TestFloatFacts:
             ), "np.cos / np.sin of the grid's centers must equal the float tables"
 
 
-def expand(test, grids, length, step=1):
-    """The whole grid, every step-th row and column of it, marked cell by
-    cell through the planner's cell test."""
+def expand(test, grids, length, cells):
+    """Whether the planner's cell test marks each (row, column) of cells."""
     (_, _, pcos, psin), (_, _, ycos, ysin) = grids
-    rows, cols = zip(pcos[::step], psin[::step]), list(zip(ycos[::step], ysin[::step]))
-    return np.array(
-        [[vofabrik.planner._hit(cp, sp, cy, sy, test, length) for cy, sy in cols] for cp, sp in rows],
-        dtype=bool,
-    )
+    return np.array([vofabrik.planner._hit(pcos[i], psin[i], ycos[j], ysin[j], test, length) for i, j in cells])
+
+
+def cells_to_compare(hit, near):
+    """The cells where the planner's cell test and the reference's could
+    part: every cell of a one-axis grid; on a two-axis grid every cell of
+    the forbidden cells' bounding box grown by one cell, every cell whose
+    squared distance lies near the threshold (near), and every 7th row and
+    column of the rest."""
+    if min(hit.shape) == 1:
+        return np.argwhere(np.ones_like(hit))
+    check = near.copy()
+    check[::7, ::7] = True
+    rows, cols = np.flatnonzero(hit.any(axis=1)), np.flatnonzero(hit.any(axis=0))
+    if rows.size:
+        check[max(rows[0] - 1, 0) : rows[-1] + 2, max(cols[0] - 1, 0) : cols[-1] + 2] = True
+    return np.argwhere(check)
 
 
 def in_safe_cell(chooser, joint, pick, tests):
@@ -912,10 +923,10 @@ def in_safe_cell(chooser, joint, pick, tests):
 class CheckedChooser(ConeConstraints):
     """The planner's chooser, checking on every visit against the frozen
     numpy reference in chooser_reference: the same spheres (==), the same
-    inputs to each sphere's cell test (==), each sphere's grid marked cell
-    by cell through the planner's cell test equal to the reference's
-    (array_equal), and the same pick (==) as the reference's union-box
-    search, with SafeSetEmpty in the same cases."""
+    inputs to each sphere's cell test (==), each sphere's cells marked
+    through the planner's cell test equal to the reference's (array_equal)
+    on the cells of cells_to_compare, and the same pick (==) as the
+    reference's union-box search, with SafeSetEmpty in the same cases."""
 
     visits = rejected = rasterized = outside = 0
 
@@ -958,11 +969,14 @@ class CheckedChooser(ConeConstraints):
         length = self._lengths[joint]
         want = [(*proj, reach * reach, want_length) for proj, want_length, reach in want_tests]
         assert [(*test, length) for test in tests] == want, joint
-        # cell by cell in plain Python: every cell of a one-axis grid, every
-        # 7th row and column of a two-axis one, to keep the suite quick
-        step = 1 if min(len(self.grids[joint][0][1]), len(self.grids[joint][1][1])) == 1 else 7
-        for test, hit in zip(tests, self.expected):
-            assert np.array_equal(expand(test, self.grids[joint], length, step), hit[::step, ::step]), joint
+        # cell by cell in plain Python, on the cells where rounding could
+        # part the two: near the threshold, within one cell of a forbidden
+        # one; and on a sample of the rest
+        (_, pc), (_, yc) = self.reference.grids[joint]
+        for test, hit, (proj, _, reach) in zip(tests, self.expected, want_tests):
+            near = np.abs(cell_d2(pc, yc, proj, length) - reach * reach) <= 1e-9 * proj[3]
+            cells = cells_to_compare(hit, near)
+            assert np.array_equal(expand(test, self.grids[joint], length, cells), hit[tuple(cells.T)]), joint
         return tests
 
     def _nearest_safe(self, joint, limits, desired, tests):
@@ -1142,8 +1156,9 @@ def few_cells(hit):
 class TestLazySearch:
     """The lazy search against chooser_reference.MaskChooser, which marks
     every cell of the grid and takes the nearest point of a safe cell, on
-    the seeded visits of lazy_visits: the pick must be == and SafeSetEmpty
-    must come in the same cases. Seeded, so every run checks the same
+    the seeded visits of lazy_visits: the pick must be ==, SafeSetEmpty
+    must come in the same cases, and each pick must lie in a cell that no
+    kept sphere's cell test marks. Seeded, so every run checks the same
     visits."""
 
     @pytest.mark.parametrize("kind, chains", LAZY_FAMILIES)
@@ -1160,6 +1175,8 @@ class TestLazySearch:
                 grazed = any(few_cells(hit) for hit in hits)
             want = mask.pick(v.joint, v.desired, v.limits, hits)
             assert v.pick == (None if want is None else tuple(want)), (v.phase, v.joint, v.desired)
+            if v.pick is not None and v.chooser.tests:
+                assert in_safe_cell(v.chooser, v.joint, v.pick, v.chooser.tests), (v.phase, v.joint, v.desired)
             visits += 1
             empty += v.pick is None
             searched += v.pick not in (None, clamp_to_limits(v.desired.pitch, v.desired.yaw, v.limits))
@@ -1167,15 +1184,6 @@ class TestLazySearch:
         assert searched > 0.02 * visits and empty > 0, (visits, searched, empty)
         if kind.startswith("grazing"):
             assert small > 0.1 * visits, (visits, small)
-
-    @pytest.mark.parametrize("kind, chains", LAZY_FAMILIES)
-    def test_pick_lies_in_a_safe_cell(self, kind, chains):
-        picks = 0
-        for v in lazy_visits(kind, chains):
-            if v.pick is not None and v.chooser.tests:
-                assert in_safe_cell(v.chooser, v.joint, v.pick, v.chooser.tests), (v.phase, v.joint, v.desired)
-                picks += 1
-        assert picks > 0
 
     def test_pick_beside_a_wide_forbidden_region_is_safe(self):
         # a visit of the seeded snake2 family: the kept sphere's forbidden
