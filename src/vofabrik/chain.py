@@ -18,6 +18,7 @@ fold (a link pointing straight back along its parent) comes out as yaw = pi.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -143,9 +144,14 @@ class ChainModel:
     joint at p_k that aims link k relative to link k-1 (or relative to
     base_direction for k = 0). The chain's reach, max|base| + sum of the
     link lengths, bounds every coordinate a pose can take; it must lie
-    within geometry.COORDINATE_RANGE, as each link length (at least
-    DEGENERACY_THRESHOLD) and thickness must. extent = max(1, reach)
-    scales the tolerance of ChainState.validate.
+    within geometry.COORDINATE_RANGE, as each link length and thickness
+    must. extent = max(1, reach) scales the tolerance of
+    ChainState.validate and the shortest link, DEGENERACY_THRESHOLD +
+    4 eps extent (eps = 2**-52). fk and the sweep place joint k + 1 at
+    p_k + L d in floats, rounding each coordinate by at most eps/2 of
+    extent, so a placed link's computed length is at least L(1 - few eps)
+    - (sqrt(3)/2) eps extent: no pose they reach rounds a link that long
+    below DEGENERACY_THRESHOLD, with a margin of over four times.
     """
 
     base: np.ndarray
@@ -158,7 +164,7 @@ class ChainModel:
         for name in ("base", "base_direction", "world_up"):
             object.__setattr__(self, name, as_vec3(getattr(self, name), name))
         object.__setattr__(self, "links", tuple(
-            LinkSpec(as_length(l, f"link {k} length", DEGENERACY_THRESHOLD), as_length(t, f"link {k} thickness"))
+            LinkSpec(as_length(l, f"link {k} length"), as_length(t, f"link {k} thickness"))
             for k, (l, t) in enumerate(self.links)
         ))
         object.__setattr__(self, "limits", tuple(self.limits))
@@ -191,6 +197,9 @@ class ChainModel:
         if not reach <= COORDINATE_RANGE:
             raise ValueError(f"chain reach {reach:g} m (max|base| + link lengths) must lie within {COORDINATE_RANGE:g}")
         object.__setattr__(self, "extent", max(1.0, reach))
+        shortest = DEGENERACY_THRESHOLD + 4.0 * sys.float_info.epsilon * self.extent
+        for k, length in enumerate(self.lengths.tolist()):
+            as_length(length, f"link {k} length", shortest)
 
     @property
     def n_links(self) -> int:

@@ -71,8 +71,16 @@ def as_length(x, name: str, minimum: float = 0.0) -> float:
     COORDINATE_RANGE]; NaN and inf fail the range test too."""
     x = float(x)
     if not minimum <= x <= COORDINATE_RANGE:
-        raise ValueError(f"{name} must lie within [{minimum:g}, {COORDINATE_RANGE:g}], got {x!r}")
+        raise ValueError(f"{name} must lie within [{minimum!r}, {COORDINATE_RANGE:g}], got {x!r}")
     return x
+
+
+def _loosen(bound, scale=1.0):
+    """A distance bound widened past the rounding of float sums and of
+    coordinates up to scale in magnitude: 1e-9 relative and 1e-12 * scale
+    absolute, thousands of roundings of either. The planner's and the
+    validator's bounding-ball tests both widen their bounds here."""
+    return bound * (1.0 + 1e-9) + 1e-12 * scale
 
 
 @dataclass(frozen=True)

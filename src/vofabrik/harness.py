@@ -36,29 +36,39 @@ everything else is deterministic).
 ``validate_trajectory`` re-checks a recorded trajectory against the
 volumetric model using the geometry primitives only. It shares no code with
 the planner, so a clean validation is an independent safety check rather than
-the planner grading its own work.
+the planner grading its own work. Per state it first rejects, in plain
+floats, every pair whose bounding balls cannot touch: a link's ball is its
+midpoint with half its length as radius, an obstacle's its center with
+radius 0. By the triangle inequality, a pair whose center distance exceeds
+the two radii plus both thicknesses has positive clearance, and the bound is
+loosened (geometry._loosen, scaled by the chain's extent) past the rounding
+of both the balls and the exact queries. So the reject drops only pairs the
+exact queries would pass, and the violations are those of checking every
+pair. The pairs left run through the scalar queries.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, is_dataclass, replace, fields as dataclass_fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .chain import (
-    ChainModel,
-    ChainState,
-    JointLimits,
-    LinkSpec,
-    fk,
-    link_capsules,
-    state_from_angles,
+from .chain import ChainModel, JointLimits, LinkSpec, fk, state_from_angles
+from .geometry import (
+    COORDINATE_RANGE,
+    DEGENERACY_THRESHOLD,
+    Capsule3,
+    Segment3,
+    _loosen,
+    _segment_point_distances,
+    as_vec3,
+    capsule_capsule_distance,
 )
-from .geometry import _segment_point_distances, as_vec3, capsule_capsule_distance
 from .planner import PlannerConfig, PlanStatus, min_clearance, plan
 from .velocity_obstacles import SphereObstacle
 
@@ -226,11 +236,9 @@ def scenario_from_dict(doc, where="scenario") -> Scenario:
 
     try:
         state = state_from_angles(model, initial)
-        # fk rounds each joint position, so a link just past the lower
-        # length bound can still come out degenerate once placed
-        clearance = min_clearance(model, state.positions, obstacles)
     except ValueError as e:
         raise ValidationError(f"initial_angles: {e}") from e
+    clearance = min_clearance(model, state.positions, obstacles)
     if clearance <= 0.0:
         raise ValidationError(f"initial state in collision (clearance {clearance:.6g} m)")
 
@@ -446,6 +454,11 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
     Violations; empty means the trajectory is safe. A NaN or infinite angle
     fails its limit check, and its row gets no other check, since it has no
     pose.
+
+    Only the pairs whose loosened bounding balls touch get an exact query;
+    the others provably have positive clearance (module docstring). The
+    list is == the one from querying every pair, in the same order with
+    the same value bits (tests/validator_reference.py).
     """
     centers = [as_vec3(o.center, "obstacle center").tolist() for o in obstacles]
     out = []
@@ -480,19 +493,55 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
                     deviation,
                 )
             )
-        out.extend(_clearance_violations(model, positions, angles, obstacles, centers, step))
+        out.extend(_clearance_violations(model, positions, obstacles, centers, step))
     return out
 
 
-def _clearance_violations(model, positions, angles, obstacles, centers, step):
+def _clearance_violations(model, positions, obstacles, centers, step):
     """Obstacle and self-collision checks for one state, via capsules;
-    centers are the obstacles' centers as float triples."""
-    capsules = link_capsules(model, ChainState(positions, angles))
+    centers are the obstacles' centers as float triples.
+
+    A pair skips the exact query when its bounding balls provably cannot
+    touch (module docstring); a NaN distance fails that test and takes the
+    exact path. Only links with a surviving pair get a capsule, but every
+    link is checked as Segment3 checks it.
+    """
+    p = positions.tolist()
+    r = COORDINATE_RANGE
+    inside = [abs(x) <= r and abs(y) <= r and abs(z) <= r for x, y, z in p]
+    balls = []
+    for k, ((ax, ay, az), (bx, by, bz), link) in enumerate(zip(p, p[1:], model.links)):
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        half = 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
+        # a link twice the threshold long is no degenerate segment; a
+        # shorter one, or one out of range, raises here as its capsule would
+        if not (inside[k] and inside[k + 1] and half >= DEGENERACY_THRESHOLD):
+            Segment3(positions[k], positions[k + 1])
+        balls.append((ax + 0.5 * dx, ay + 0.5 * dy, az + 0.5 * dz, half + link.thickness))
+
+    capsules = {}
+
+    def capsule(k):
+        if k not in capsules:
+            capsules[k] = Capsule3(Segment3(positions[k], positions[k + 1]), model.links[k].thickness)
+        return capsules[k]
+
+    scale = model.extent
     out = []
-    for k, capsule in enumerate(capsules):
-        gaps = _segment_point_distances(capsule.axis, centers)
-        for j, (obstacle, gap) in enumerate(zip(obstacles, gaps)):
-            clearance = gap - capsule.radius - obstacle.radius
+    for k, (mx, my, mz, rk) in enumerate(balls):
+        near = []
+        for j, ((cx, cy, cz), obstacle) in enumerate(zip(centers, obstacles)):
+            dx, dy, dz = cx - mx, cy - my, cz - mz
+            bound = _loosen(rk + obstacle.radius, scale)
+            if dx * dx + dy * dy + dz * dz > bound * bound:
+                continue
+            near.append(j)
+        if not near:
+            continue
+        cap = capsule(k)
+        gaps = _segment_point_distances(cap.axis, [centers[j] for j in near])
+        for j, gap in zip(near, gaps):
+            clearance = gap - cap.radius - obstacles[j].radius
             if clearance <= 0.0:
                 out.append(
                     Violation(
@@ -502,9 +551,13 @@ def _clearance_violations(model, positions, angles, obstacles, centers, step):
                         clearance,
                     )
                 )
-    for k in range(len(capsules)):
-        for j in range(k + 2, len(capsules)):
-            clearance = capsule_capsule_distance(capsules[k], capsules[j])
+    for k, (mx, my, mz, rk) in enumerate(balls):
+        for j, (nx, ny, nz, rj) in enumerate(balls[k + 2 :], start=k + 2):
+            dx, dy, dz = nx - mx, ny - my, nz - mz
+            bound = _loosen(rk + rj, scale)
+            if dx * dx + dy * dy + dz * dz > bound * bound:
+                continue
+            clearance = capsule_capsule_distance(capsule(k), capsule(j))
             if clearance <= 0.0:
                 out.append(
                     Violation(

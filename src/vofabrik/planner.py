@@ -65,7 +65,7 @@ from .fabrik import (
     clamp_to_limits,
     solve as fabrik_solve,
 )
-from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, as_vec3, fma
+from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, _loosen, as_vec3, fma
 from .velocity_obstacles import (
     NoAdmissibleVelocity,
     SphereObstacle,
@@ -163,11 +163,6 @@ def _axis_grid(lo: float, hi: float, resolution: float):
 def _cell_of(edges: tuple, x: float) -> int:
     """Index of the cell containing x, clamped into range."""
     return min(max(bisect.bisect_right(edges, x) - 1, 0), len(edges) - 2)
-
-
-def _loosen(bound: float) -> float:
-    """A distance bound widened past the rounding of float sums."""
-    return bound * (1.0 + 1e-9) + 1e-12
 
 
 def _hit(cp, sp, cy, sy, test, length):

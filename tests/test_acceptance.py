@@ -12,12 +12,15 @@ the golden-digest test.
 import hashlib
 import math
 import time
+from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import geometry_reference
+import validator_reference
 from chooser_oracle import ChooserCase
 from clearance_oracle import scalar_min_clearance
 from vofabrik import (
@@ -243,6 +246,25 @@ class TestAcceptance:
             f"obstacle clearance PASS - == capsule_sphere_distance over link_capsules "
             f"on {states} shipped states, obstacles closest on {binding}"
         )
+
+    def test_validator_matches_exhaustive_reference_on_shipped_plans(self, shipped_runs):
+        """validate_trajectory, which skips the pairs whose bounding balls
+        cannot touch, returns the frozen exhaustive validator's Violation
+        lists (==, value bits included) on every shipped plan, and on the
+        plans perturbed into collision by seeded angle noise."""
+        rng = np.random.default_rng(16)
+        kinds = Counter()
+        for name, (scenario, outcome) in shipped_runs.items():
+            record = record_from_outcome(scenario, outcome)
+            for sigma in (0.0, 0.05, 0.3):
+                perturbed = replace(record, angles=record.angles + rng.normal(0.0, sigma, record.angles.shape))
+                got = validate_trajectory(scenario.chain, perturbed, scenario.obstacles)
+                want = validator_reference.validate_trajectory(scenario.chain, perturbed, scenario.obstacles)
+                assert got == want and validator_reference.bits(got) == validator_reference.bits(want), (name, sigma)
+                assert sigma or got == [], name
+                kinds.update(v.kind for v in got)
+        assert min(kinds[k] for k in ("rigid_link", "obstacle_clearance", "self_clearance")) > 0, kinds
+        print(f"validator PASS - == the exhaustive reference on 4 shipped plans, perturbed: {dict(kinds)}")
 
     def test_scalar_geometry_matches_numpy_reference_on_shipped_plans(self, shipped_runs):
         """Every link pair and every link-obstacle pair of every shipped state

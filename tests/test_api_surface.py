@@ -52,6 +52,27 @@ def test_validator_uses_no_planner_name():
     assert {"validate_trajectory", "_clearance_violations"} <= reached
 
 
+def test_one_loosening_rule():
+    """geometry alone defines _loosen; the planner's and the validator's
+    bounding-ball tests import it from there. The validator's clearance
+    check widens its reject bound with it and names no np attribute, so
+    the audit stays in plain floats."""
+    defined, imported = [], {}
+    trees = {}
+    for path in sorted((ROOT / "src" / "vofabrik").glob("*.py")):
+        trees[path.stem] = tree = ast.parse(path.read_text())
+        defined += [path.stem for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_loosen"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "_loosen" in {alias.name for alias in node.names}:
+                imported[path.stem] = node.module
+    assert defined == ["geometry"]
+    assert imported == {"harness": "geometry", "planner": "geometry"}
+    check = next(n for n in trees["harness"].body if isinstance(n, ast.FunctionDef) and n.name == "_clearance_violations")
+    nodes = list(ast.walk(check))
+    assert "_loosen" in {n.id for n in nodes if isinstance(n, ast.Name)}
+    assert not {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "np"}
+
+
 def test_chooser_visit_path_uses_no_numpy():
     """A chooser visit runs in plain floats: ConeConstraints.__call__, the
     choose function it returns, and every method or package function they

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from vofabrik import scenario_path
 from vofabrik.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +100,8 @@ class TestRun:
         assert "error: link 0 length must lie within" in capsys.readouterr().err
 
     def test_link_degenerate_once_placed_exits_two(self, planar_2link, tmp_path, capsys):
-        # a 1e-12 m middle link passes the length bound, but fk at a base
-        # 1e6 m out rounds it shorter than DEGENERACY_THRESHOLD
+        # fk at a base 1e6 m out could round a 1e-12 m middle link shorter
+        # than DEGENERACY_THRESHOLD, so the shortest link grows with extent
         doc = json.loads(Path(planar_2link).read_text())
         doc["chain"]["base"] = [1e6, 0.0, 0.0]
         doc["chain"]["links"] = [{"length": length, "thickness": 0.0} for length in (0.1, 1e-12, 0.1)]
@@ -108,7 +113,29 @@ class TestRun:
         scenario.write_text(json.dumps(doc))
         code = main(["run", "--scenario", str(scenario), "--out-dir", str(tmp_path)])
         assert code == 2
-        assert "error: initial_angles: segment endpoints coincide" in capsys.readouterr().err
+        assert "error: link 1 length must lie within [8.89" in capsys.readouterr().err
+
+    def test_link_degenerate_mid_plan_exits_two(self, planar_2link, tmp_path):
+        # at the origin a 1e-12 m middle link is placed intact at the home
+        # pose, but a later step's pose used to round it below
+        # DEGENERACY_THRESHOLD, and min_clearance raised mid-plan
+        doc = json.loads(Path(planar_2link).read_text())
+        doc["chain"]["base"] = [0.0, 0.0, 0.0]
+        doc["chain"]["links"] = [{"length": length, "thickness": 0.0} for length in (0.1, 1e-12, 0.1)]
+        doc["chain"]["limits"] = [{"pitch": [-1.5, 1.5], "yaw": [-1.5, 1.5]}] * 3
+        doc["initial_angles"] = [[0.0, 0.0]] * 3
+        doc["goal"] = [0.1, 0.1, 0.0]
+        doc["obstacles"] = []
+        scenario = tmp_path / "degenerate.json"
+        scenario.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "vofabrik.cli", "run", "--scenario", str(scenario), "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: link 1 length must lie within [1.00088")
+        assert "Traceback" not in done.stderr
 
     def test_obstacle_radius_out_of_range_exits_two(self, planar_2link, tmp_path, capsys):
         # a ValidationError since obstacles follow the links' error type

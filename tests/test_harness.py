@@ -1,5 +1,6 @@
 """Scenario loading, trajectory CSV round-trips, and the independent validator."""
 
+import collections
 import json
 import math
 import re
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import validator_reference as reference
 
 from vofabrik import (
     ChainModel,
@@ -35,6 +38,8 @@ from vofabrik import (
     scenario_path,
     validate_trajectory,
 )
+from vofabrik.geometry import DEGENERACY_THRESHOLD, DegenerateSegment
+from vofabrik.harness import _clearance_violations
 
 
 def toy_doc():
@@ -150,15 +155,47 @@ class TestLoadScenario:
             scenario_from_dict(doc)
 
     def test_link_degenerate_once_placed_rejected_at_load(self):
-        # 1e-12 m passes the link length bound, but fk at a base 1e6 m out
-        # rounds the placed link shorter than DEGENERACY_THRESHOLD
+        # fk at a base 1e6 m out could round a 1e-12 m link shorter than
+        # DEGENERACY_THRESHOLD, so the shortest link is 1e-12 + 4 eps extent
         doc = toy_doc()
         doc["chain"]["base"] = [1e6, 0.0, 0.0]
         doc["chain"]["links"][1] = {"length": 1e-12, "thickness": 0.0}
         doc["goal"] = [1e6 + 0.15, 0.01, 0.0]
         doc["obstacles"] = []
-        with pytest.raises(ValidationError, match="segment endpoints coincide"):
+        with pytest.raises(ValidationError, match=r"link 1 length must lie within \[8\.89"):
             scenario_from_dict(doc)
+
+    def test_loaded_model_never_degenerates(self):
+        # a middle link within a few eps * extent of DEGENERACY_THRESHOLD,
+        # at the origin and far out: loading rejects it, or every pose the
+        # plan reaches keeps it intact and the validator audits them all
+        rng = np.random.default_rng(17)
+        eps = np.finfo(float).eps
+        loaded = rejected = 0
+        for case in range(40):
+            base = rng.uniform(-1.0, 1.0, 3) * 10.0 ** (case % 7)
+            extent = max(1.0, float(np.abs(base).max()) + 0.2)
+            doc = toy_doc()
+            doc["chain"]["base"] = base.tolist()
+            doc["chain"]["links"] = [
+                {"length": length, "thickness": 0.0}
+                for length in (0.1, DEGENERACY_THRESHOLD + (0.0, 0.05, 2.0, 5.0, 8.0)[case % 5] * eps * extent, 0.1)
+            ]
+            doc["chain"]["limits"] = [{"pitch": [-1.5, 1.5], "yaw": [-1.5, 1.5]}] * 3
+            doc["initial_angles"] = rng.uniform(-0.3, 0.3, (3, 2)).tolist()
+            doc["goal"] = (base + [0.1, 0.1, rng.uniform(-0.05, 0.05)]).tolist()
+            doc["obstacles"] = []
+            doc["planner"] = {"max_steps": 25}
+            try:
+                scenario = scenario_from_dict(doc)
+            except ValidationError as e:
+                assert "link 1 length must lie within" in str(e)
+                rejected += 1
+                continue
+            record, _ = run_and_report(scenario)
+            validate_trajectory(scenario.chain, record, scenario.obstacles)
+            loaded += 1
+        assert loaded >= 10 and rejected >= 10, (loaded, rejected)
 
     def test_non_unit_base_direction(self):
         doc = toy_doc()
@@ -551,6 +588,158 @@ class TestValidateTrajectory:
         record.end_effector[1, 1] += 1.0
         violations = validate_trajectory(model, record, [])
         assert [v.step for v in violations] == [1]
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def folded_chain(rng):
+    """A random 2- to 12-link chain with yaw limits of +-2.8 rad, so its
+    links fold back across each other, and thicknesses up to 3 cm."""
+    n = int(rng.integers(2, 13))
+    return ChainModel(
+        base=rng.uniform(-0.5, 0.5, 3),
+        base_direction=np.array([1.0, 0.0, 0.0]),
+        links=[LinkSpec(float(rng.uniform(0.03, 0.15)), float(rng.uniform(0.0, 0.03))) for _ in range(n)],
+        limits=[JointLimits(-2.0, 2.0, -2.8, 2.8)] * n,
+    )
+
+
+def touching_case(rng, gap, offset):
+    """Positions, thicknesses and obstacles of a 4-link chain whose tight
+    pairs touch to within rounding, plus gap: links 0 and 3 collinear end
+    to end (their bounding balls tangent), a sphere end-on to link 3 (its
+    ball tangent to link 3's) and a sphere tangent to link 0's side.
+    Thicknesses are 0 on a third of the cases."""
+    u = unit(rng.normal(size=3))
+    v = unit(np.cross(u, rng.normal(size=3)))
+    t = rng.uniform(0.0, 0.02, 4) * (rng.random() < 2 / 3)
+    r = rng.uniform(0.005, 0.05, 2)
+    lengths = rng.uniform(0.05, 0.2, 2)
+    p0 = rng.uniform(-1.0, 1.0, 3) * offset
+    p1 = p0 + lengths[0] * u
+    p2 = p1 + rng.uniform(0.05, 0.2) * v
+    p3 = p1 + (t[0] + t[3] + gap) * u
+    p4 = p3 + lengths[1] * u
+    positions = np.array([p0, p1, p2, p3, p4])
+    obstacles = [
+        SphereObstacle(p4 + (t[3] + r[0] + gap) * u, r[0]),
+        SphereObstacle(0.5 * (p0 + p1) + (t[0] + r[1] + gap) * np.cross(u, v), r[1]),
+    ]
+    return positions, t, obstacles
+
+
+class TestBoundingBallReject:
+    """The validator skips the pairs whose bounding balls cannot touch, and
+    returns the frozen exhaustive validator's Violation lists (==, value
+    bits included) on every family here."""
+
+    def check(self, model, positions, obstacles, step=0):
+        centers = [o.center.tolist() for o in obstacles]
+        got = _clearance_violations(model, positions, obstacles, centers, step)
+        want = reference.clearance_violations(model, positions, np.zeros((model.n_links, 2)), obstacles, centers, step)
+        assert got == want and reference.bits(got) == reference.bits(want)
+        return got
+
+    def test_random_folded_chains_with_obstacles(self):
+        rng = np.random.default_rng(16)
+        kinds = collections.Counter()
+        for _ in range(150):
+            model = folded_chain(rng)
+            angles = rng.uniform(-1.0, 1.0, (6, model.n_links, 2)) * [2.1, 2.9]
+            poses = [fk(model, a, check_limits=False) for a in angles]
+            obstacles = []
+            for _ in range(int(rng.integers(0, 12))):
+                pose = poses[int(rng.integers(0, 6))]
+                k = int(rng.integers(0, model.n_links))
+                on_link = pose[k] + rng.random() * (pose[k + 1] - pose[k])
+                obstacles.append(SphereObstacle(on_link + rng.normal(0.0, 0.05, 3), float(rng.uniform(0.005, 0.06))))
+            record = TrajectoryRecord(
+                scenario="folded", steps=np.arange(6), t=np.arange(6) * 0.2, angles=angles,
+                end_effector=np.array([p[-1] for p in poses]) + rng.normal(0.0, 1e-9, (6, 3)),
+                min_clearance=np.ones(6), wall_time=np.zeros(6),
+            )
+            got = validate_trajectory(model, record, obstacles)
+            want = reference.validate_trajectory(model, record, obstacles)
+            assert got == want and reference.bits(got) == reference.bits(want)
+            kinds.update(v.kind for v in got)
+        assert min(kinds[k] for k in ("joint_limit", "rigid_link", "obstacle_clearance", "self_clearance")) >= 100
+
+    @pytest.mark.parametrize("offset", [1.0, 1e3, 1e6, 1e8])
+    def test_touching_and_near_touching_pairs(self, offset):
+        # at gap 0 about half of the tight pairs round to a violation, and
+        # about half of those have bounding balls that round apart: only
+        # the loosening keeps them on the exact path. Far out, a midpoint
+        # rounds by eps/2 of its coordinates, which the loosening's scale
+        # (model.extent) covers: at 1e8 m its relative part alone does not
+        rng = np.random.default_rng(int(offset))
+        found = collections.Counter()
+        for case in range(300):
+            gap = (0.0, 1e-12, -1e-12)[case % 3]
+            positions, t, obstacles = touching_case(rng, gap, offset)
+            lengths = np.linalg.norm(np.diff(positions, axis=0), axis=1)
+            model = ChainModel(
+                base=positions[0], base_direction=np.array([1.0, 0.0, 0.0]),
+                links=[LinkSpec(float(l), float(w)) for l, w in zip(lengths, t)],
+                limits=[JointLimits.unlimited()] * 4,
+            )
+            found.update((gap, v.kind, v.detail.split(" (")[0]) for v in self.check(model, positions, obstacles))
+        for gap in (0.0, -1e-12):
+            assert found[gap, "self_clearance", "link 0 overlaps link 3"] > 0, found
+            assert found[gap, "obstacle_clearance", "link 3 overlaps obstacle 0"] > 0, found
+            assert found[gap, "obstacle_clearance", "link 0 overlaps obstacle 1"] > 0, found
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -2e75])
+    def test_bad_position_raises_as_the_reference(self, where, value):
+        model = ChainModel(
+            base=np.zeros(3), base_direction=np.array([1.0, 0.0, 0.0]),
+            links=[LinkSpec(0.1, 0.01)] * 4, limits=[JointLimits.unlimited()] * 4,
+        )
+        positions = fk(model, np.zeros((4, 2)))
+        positions[where, 1] = value
+        for obstacles in ([], [SphereObstacle(np.array([5.0, 5.0, 5.0]), 0.1)]):
+            centers = [o.center.tolist() for o in obstacles]
+            with pytest.raises(ValueError) as want:
+                reference.clearance_violations(model, positions, np.zeros((4, 2)), obstacles, centers, 0)
+            with pytest.raises(ValueError) as got:
+                _clearance_violations(model, positions, obstacles, centers, 0)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("length", [0.0, 5e-13, 1.5e-12])
+    def test_short_link_raises_as_the_reference(self, length):
+        # below DEGENERACY_THRESHOLD a link is a DegenerateSegment wherever
+        # it is and whatever pairs survive; up to twice the threshold the
+        # capsule's own check decides
+        model = ChainModel(
+            base=np.zeros(3), base_direction=np.array([1.0, 0.0, 0.0]),
+            links=[LinkSpec(0.1, 0.0)] * 4, limits=[JointLimits.unlimited()] * 4,
+        )
+        positions = fk(model, np.zeros((4, 2)))
+        positions[3:] -= [0.1 - length, 0.0, 0.0]
+        if length < DEGENERACY_THRESHOLD:
+            with pytest.raises(DegenerateSegment, match="coincide"):
+                reference.clearance_violations(model, positions, np.zeros((4, 2)), [], [], 0)
+            with pytest.raises(DegenerateSegment, match="coincide"):
+                _clearance_violations(model, positions, [], [], 0)
+        else:
+            assert self.check(model, positions, []) == []
+
+    def test_nan_angle_row(self):
+        model = folded_chain(np.random.default_rng(3))
+        angles = np.zeros((3, model.n_links, 2))
+        angles[1, 0, 0] = np.nan
+        record = TrajectoryRecord(
+            scenario="nan", steps=np.arange(3), t=np.zeros(3), angles=angles,
+            end_effector=np.array([fk(model, a, check_limits=False)[-1] for a in angles]),
+            min_clearance=np.ones(3), wall_time=np.zeros(3),
+        )
+        obstacles = [SphereObstacle(model.base + [0.1, 0.0, 0.0], 0.05)]
+        got = validate_trajectory(model, record, obstacles)
+        assert reference.bits(got) == reference.bits(reference.validate_trajectory(model, record, obstacles))
+        assert [v.kind for v in got if v.step == 1] == ["joint_limit"]
 
 
 class TestReports:
