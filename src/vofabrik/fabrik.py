@@ -14,7 +14,9 @@ It is called once per sweep, with the positions the sweep enters with
 re-anchored), and returns the function that picks each joint's angles in
 that sweep. The default chooser clamps into the joint limits and nothing
 else. Both callers share every other instruction, which is what makes the
-planner with no active constraints reproduce this solver bit for bit.
+planner with no active constraints reproduce this solver bit for bit. A
+chooser that finds no angle it may pick raises SafeSetEmpty; the solve
+then ends BLOCKED with its last completed iterate.
 
 Backward-phase clamping needs a parent frame before parents are updated;
 the frames captured from the entry state are used for the whole phase.
@@ -58,6 +60,11 @@ class SolveStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
     INFEASIBLE = "infeasible"
+    BLOCKED = "blocked"  # the chooser raised SafeSetEmpty
+
+
+class SafeSetEmpty(RuntimeError):
+    """A chooser finds every angle in the joint-limit rectangle forbidden."""
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,7 @@ def _direction(p_from, p_to, entry, i):
     return dx / n, dy / n, dz / n
 
 
-def _backward_phase(model, p, frames, target, chooser):
-    entry = p[:]
+def _backward_phase(model, p, entry, frames, target, chooser):
     p[-1] = target
     choose = chooser(Phase.BACKWARD, p)
     lengths = model.lengths.tolist()
@@ -164,8 +170,10 @@ def solve(
     """Drive the end effector to the target, keeping limits at every step.
 
     Out-of-reach targets run exactly one stretch iteration and come back
-    with status INFEASIBLE and the best stretched state. on_iteration, if
-    given, is called with (iteration, backward_positions, state) after
+    with status INFEASIBLE and the best stretched state. A chooser may
+    raise SafeSetEmpty: the solve then ends BLOCKED with its last completed
+    iterate, the start state and 0 iterations in iteration 1. on_iteration,
+    if given, is called with (iteration, backward_positions, state) after
     every full iteration — used by tests to watch per-iteration invariants.
     """
     cfg = cfg or FabrikConfig()
@@ -185,10 +193,16 @@ def solve(
     # later iterations reuse the frames the previous forward phase built
     frames = joint_frames(model, state.angles)
     status = SolveStatus.MAX_ITERATIONS if reachable else SolveStatus.INFEASIBLE
+    angles = state.angles
     for iteration in range(1, budget + 1):
-        _backward_phase(model, p, frames, target, chooser)
-        backward_snapshot = np.array(p) if on_iteration is not None else None
-        angles, frames = _forward_phase(model, p, chooser)
+        entry = p[:]
+        try:
+            _backward_phase(model, p, entry, frames, target, chooser)
+            backward_snapshot = np.array(p) if on_iteration is not None else None
+            angles, frames = _forward_phase(model, p, chooser)
+        except SafeSetEmpty:
+            p, iteration, status = entry, iteration - 1, SolveStatus.BLOCKED
+            break
         x, y, z = p[-1]
         dx, dy, dz = x - tx, y - ty, z - tz
         residual = math.sqrt(fma(dz, dz, fma(dy, dy, dx * dx)))

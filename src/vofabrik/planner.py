@@ -24,7 +24,8 @@ the pivot) would approach the real center.
 
 When no cell is forbidden, the chooser falls through to the identical
 limit clamp the plain solver uses, so with no obstacles in range the
-planner reproduces plain FABRIK bit for bit.
+planner reproduces plain FABRIK bit for bit. A visit with every cell
+forbidden raises fabrik.SafeSetEmpty, which ends the solve, not the plan.
 
 Each visit first gathers the spheres within reach in one pass in plain
 Python floats, reading the sweep's float tuples; most visits keep none
@@ -61,6 +62,7 @@ from .chain import ChainModel, ChainState
 from .fabrik import (
     FabrikConfig,
     Phase,
+    SafeSetEmpty,
     SolveOutcome,
     clamp_to_limits,
     solve as fabrik_solve,
@@ -80,16 +82,6 @@ _STALL_WINDOW = 10
 _STALL_DISPLACEMENT = 1e-4
 
 
-class SafeSetEmpty(RuntimeError):
-    """Every angle in the joint-limit rectangle is forbidden."""
-
-    def __init__(self, joint: Optional[int] = None, phase: Optional[Phase] = None):
-        self.joint = joint
-        self.phase = phase
-        where = "" if joint is None else f" at joint {joint} ({phase.value} phase)"
-        super().__init__(f"no safe joint angles remain{where}")
-
-
 class InitialStateInCollision(ValueError):
     """The starting configuration already violates clearance."""
 
@@ -98,7 +90,6 @@ class PlanStatus(Enum):
     GOAL_REACHED = "GoalReached"
     STALLED = "Stalled"
     STEP_LIMIT = "StepLimit"
-    SAFE_SET_EMPTY = "SafeSetEmpty"
     NO_ADMISSIBLE_VELOCITY = "NoAdmissibleVelocity"
     COLLISION = "Collision"  # a step's clearance was not positive; not recorded
 
@@ -188,10 +179,11 @@ class ConeConstraints:
     Forbids the (pitch, yaw) cells that would bring the link within touch
     of an obstacle or a virtual self-sphere, and returns the desired angles
     clamped to the limits, or the nearest safe angles when those fall in a
-    forbidden cell. plan and ik_phase build one per call; fabrik.solve
-    starts each sweep with the positions it enters with and visits every
-    link through the function that start returns. Nothing in the chooser
-    changes after it is built: a sweep's state lives in that function.
+    forbidden cell, and raises SafeSetEmpty when every cell is. plan and
+    ik_phase build one per call; fabrik.solve starts each sweep with the
+    positions it enters with and visits every link through the function
+    that start returns. Nothing in the chooser changes after it is built:
+    a sweep's state lives in that function.
 
     Each visit first gathers the spheres within reach in one pass in plain
     Python floats (_touch_spheres), then the inputs of each one's cell test
@@ -216,9 +208,9 @@ class ConeConstraints:
         self._lengths, self._thick, self._lips = lengths.tolist(), thick.tolist(), lips.tolist()
         # a chain of two links has no non-adjacent pair, so no self-spheres
         self._has_virtual = model.n_links > 2 and bool((thick > 0.0).any())
-        # per joint, the part of the touch reach every virtual sphere
-        # shares, loosened, for the links' bounding-ball pre-test
-        self._reach = _loosen(lengths + cfg.clearance_margin + thick + lips).tolist()
+        # per joint, the reach all virtual spheres share, for the ball pre-test
+        self._reach = _loosen(lengths + cfg.clearance_margin + thick + lips, model.extent).tolist()
+        self._extent = model.extent
         # per joint, the real spheres as (x, y, z, radius, squared bound),
         # the bound summed in the order the keep test needs
         m = cfg.clearance_margin
@@ -242,7 +234,7 @@ class ConeConstraints:
             for (ax, ay, az), (bx, by, bz), thick in zip(positions, positions[1:], self._thick):
                 dx, dy, dz = bx - ax, by - ay, bz - az
                 len2 = (dx * dx + dz * dz) + dy * dy
-                half = _loosen(0.5 * math.sqrt(len2) + thick)
+                half = _loosen(0.5 * math.sqrt(len2) + thick, self._extent)
                 ball = (ax + 0.5 * dx, ay + 0.5 * dy, az + 0.5 * dz, half)
                 links.append((ax, ay, az, dx, dy, dz, len2, thick, *ball))
 
@@ -250,10 +242,7 @@ class ConeConstraints:
             spheres = self._touch_spheres(phase, joint, pivot, links)
             if not spheres:
                 return clamp_to_limits(desired.pitch, desired.yaw, limits)
-            try:
-                return self._nearest_safe(joint, limits, desired, self._cell_tests(joint, frame, pivot, spheres))
-            except SafeSetEmpty:
-                raise SafeSetEmpty(joint=joint, phase=phase) from None
+            return self._nearest_safe(joint, limits, desired, self._cell_tests(joint, frame, pivot, spheres))
 
         return choose
 
@@ -588,16 +577,12 @@ def plan(
                 v = _end_effector_velocity(model, state, goal, avoided, cfg, remaining)
                 speed = float(np.linalg.norm(v))
                 target = state.positions[-1] + v * min(cfg.t_s, remaining / speed)
-            outcome = fabrik_solve(model, state, target, cfg.ik, choose_angles=chooser)
+            new_state = fabrik_solve(model, state, target, cfg.ik, choose_angles=chooser).state
         except NoAdmissibleVelocity:
             status = PlanStatus.NO_ADMISSIBLE_VELOCITY
             break
-        except SafeSetEmpty:
-            status = PlanStatus.SAFE_SET_EMPTY
-            break
         wall = time.perf_counter() - t0
 
-        new_state = outcome.state
         clearance = min_clearance(model, new_state.positions, obstacles)
         if clearance <= 0.0:
             status = PlanStatus.COLLISION

@@ -54,7 +54,9 @@ def test_validator_uses_no_planner_name():
 
 def test_one_loosening_rule():
     """geometry alone defines _loosen; the planner's and the validator's
-    bounding-ball tests import it from there. The validator's clearance
+    bounding-ball tests import it from there, and every call outside
+    geometry passes a scale, since both tests compare midpoints whose
+    rounding grows with the chain's extent. The validator's clearance
     check widens its reject bound with it and names no np attribute, so
     the audit stays in plain floats."""
     defined, imported = [], {}
@@ -67,10 +69,37 @@ def test_one_loosening_rule():
                 imported[path.stem] = node.module
     assert defined == ["geometry"]
     assert imported == {"harness": "geometry", "planner": "geometry"}
+    calls = [
+        (stem, len(node.args) + len(node.keywords))
+        for stem, tree in trees.items()
+        if stem != "geometry"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_loosen"
+    ]
+    assert {stem for stem, _ in calls} == {"harness", "planner"}
+    assert all(count == 2 for _, count in calls), calls
     check = next(n for n in trees["harness"].body if isinstance(n, ast.FunctionDef) and n.name == "_clearance_violations")
     nodes = list(ast.walk(check))
     assert "_loosen" in {n.id for n in nodes if isinstance(n, ast.Name)}
     assert not {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "np"}
+
+
+def test_a_blocked_visit_ends_only_the_solve():
+    """SafeSetEmpty is caught in one place, fabrik.solve, which ends the
+    solve BLOCKED: no other handler in the package, the planner's
+    included, names it, so it never reaches ik_phase or plan."""
+    catchers = []
+    for path in sorted((ROOT / "src" / "vofabrik").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the innermost function around each node; ast.walk goes outside in
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type and "SafeSetEmpty" in ast.dump(node.type):
+                catchers.append((path.stem, owner.get(node, "<module>")))
+    assert catchers == [("fabrik", "solve")]
 
 
 def test_chooser_visit_path_uses_no_numpy():

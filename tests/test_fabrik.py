@@ -7,6 +7,7 @@ solver's true positional error, independent of which of the infinitely
 many valid elbows it picked.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 import fabrik_reference
 import vofabrik.fabrik
 from vofabrik.chain import ChainModel, JointLimits, state_from_angles
-from vofabrik.fabrik import FabrikConfig, Phase, SolveStatus, clamp_to_limits, solve
+from vofabrik.fabrik import FabrikConfig, Phase, SafeSetEmpty, SolveOutcome, SolveStatus, clamp_to_limits, solve
 from vofabrik.geometry import COORDINATE_RANGE
-from vofabrik.planner import ConeConstraints, PlannerConfig, SafeSetEmpty
+from vofabrik.planner import ConeConstraints, PlannerConfig
 from vofabrik.velocity_obstacles import SphereObstacle
 
 UNLIMITED = JointLimits.unlimited()
@@ -253,11 +254,29 @@ def random_case(seed):
     return model, state, target, obstacles
 
 
-def solve_or_blocked(solver, *args):
+def reference_outcome(model, state, target, cfg, chooser):
+    """fabrik_reference.solve's outcome, with its blocked visit read as
+    solve reports one: if the chooser raises SafeSetEmpty in iteration k
+    (the k-th backward sweep), BLOCKED with the reference's state after
+    k - 1 iterations, or the start state when k = 1."""
+    if chooser is None:
+        return fabrik_reference.solve(model, state, target, cfg)
+    sweeps = []
+
+    def counting(phase, positions):
+        sweeps.append(phase)
+        return chooser(phase, positions)
+
     try:
-        return solver(*args)
-    except SafeSetEmpty as e:
-        return e.joint, e.phase
+        return fabrik_reference.solve(model, state, target, cfg, counting)
+    except SafeSetEmpty:
+        k = sweeps.count(Phase.BACKWARD)
+    if k == 1:
+        residual = float(np.linalg.norm(state.positions[-1] - np.asarray(target, dtype=float)))
+        return SolveOutcome(SolveStatus.BLOCKED, state.copy(), 0, residual)
+    last = fabrik_reference.solve(model, state, target, dataclasses.replace(cfg, max_iterations=k - 1), chooser)
+    assert last.iterations == k - 1
+    return SolveOutcome(SolveStatus.BLOCKED, last.state, k - 1, last.residual)
 
 
 class TestFrozenReference:
@@ -275,17 +294,15 @@ class TestFrozenReference:
         for seed in range(40):
             model, state, target, obstacles = random_case(seed)
             chooser = ConeConstraints(model, obstacles, PlannerConfig()) if constrained else None
-            got = solve_or_blocked(solve, model, state, target, cfg, chooser)
-            want = solve_or_blocked(fabrik_reference.solve, model, state, target, cfg, chooser)
-            if isinstance(want, tuple):
-                assert got == want, seed
-                continue
+            got = solve(model, state, target, cfg, chooser)
+            want = reference_outcome(model, state, target, cfg, chooser)
             assert got.status == want.status and got.iterations == want.iterations, seed
             assert got.residual == want.residual, seed
             assert np.array_equal(got.state.positions, want.state.positions), seed
             assert np.array_equal(got.state.angles, want.state.angles), seed
             statuses.add(got.status)
         assert SolveStatus.INFEASIBLE in statuses and SolveStatus.MAX_ITERATIONS in statuses
+        assert (SolveStatus.BLOCKED in statuses) == constrained
         # every target on joint n-1 drove the fallback once
         assert len(fallbacks) >= 10
 

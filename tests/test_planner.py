@@ -2,6 +2,7 @@
 cell test and lazy search, checked on the chooser plan() runs, the outer
 goal-stepping loop, and random small scenarios from load to validation."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -27,7 +28,7 @@ from vofabrik.chain import (
     joint_frames,
     state_from_angles,
 )
-from vofabrik.fabrik import FabrikConfig, Phase, clamp_to_limits, solve
+from vofabrik.fabrik import FabrikConfig, Phase, SafeSetEmpty, SolveStatus, clamp_to_limits, solve
 from vofabrik.geometry import Capsule3, DegenerateSegment, Segment3, capsule_sphere_distance, segment_segment_distance
 from vofabrik.harness import (
     ParseError,
@@ -43,7 +44,6 @@ from vofabrik.planner import (
     InitialStateInCollision,
     PlannerConfig,
     PlanStatus,
-    SafeSetEmpty,
     ik_phase,
     min_clearance,
     plan,
@@ -153,10 +153,8 @@ class TestAngularRegion:
         # yaw hemmed to +/-0.05 rad with a sphere on the link's tip
         model = make_chain(2, limit=JointLimits(0.0, 0.0, -0.05, 0.05))
         obstacle = SphereObstacle(np.array([0.1, 0.0, 0.0]), 0.04)
-        with pytest.raises(SafeSetEmpty) as err:
+        with pytest.raises(SafeSetEmpty):
             choose(model, [obstacle], Phase.FORWARD, 0, (0.0, 0.0))
-        assert err.value.joint == 0
-        assert err.value.phase is Phase.FORWARD
 
     def test_tie_breaks_prefer_smaller_pitch_then_yaw(self):
         # a sphere dead ahead forbids a band symmetric about the desired
@@ -438,16 +436,19 @@ class TestIkPhase:
         assert np.array_equal(constrained.state.positions, plain.state.positions)
         assert np.array_equal(constrained.state.angles, plain.state.angles)
 
-    def test_blocked_corridor_raises_safe_set_empty(self):
+    def test_blocked_corridor_ends_the_solve_blocked(self):
         # yaw hemmed to +/-0.05 rad and a sphere squatting on the only
-        # corridor the tip link may occupy: every cell is forbidden
+        # corridor the tip link may occupy: every cell is forbidden in the
+        # first sweep, so the solve returns the start state
         model = make_chain(2, length=0.1, thickness=0.01, limit=JointLimits(0.0, 0.0, -0.05, 0.05))
         state = state_from_angles(model, np.zeros((2, 2)))
         obstacle = SphereObstacle(np.array([0.1, 0.0, 0.0]), 0.04)
-        with pytest.raises(SafeSetEmpty) as err:
-            ik_phase(model, state, np.array([0.2, 0.02, 0.0]), [obstacle], PlannerConfig())
-        assert err.value.joint == 1
-        assert err.value.phase is Phase.BACKWARD
+        target = np.array([0.2, 0.02, 0.0])
+        out = ik_phase(model, state, target, [obstacle], PlannerConfig())
+        assert out.status is SolveStatus.BLOCKED and out.iterations == 0
+        assert np.array_equal(out.state.positions, state.positions)
+        assert np.array_equal(out.state.angles, state.angles)
+        assert out.residual == float(np.linalg.norm(state.positions[-1] - target))
 
 
 class TestPlan:
@@ -515,6 +516,45 @@ class TestPlan:
         assert len(out.per_step_metrics) == 1
         assert np.array_equal(out.trajectory[0].angles, out.trajectory[1].angles)
         assert np.array_equal(out.trajectory[0].positions, out.trajectory[1].positions)
+
+    def test_blocked_corridor_stalls_the_plan(self):
+        # the corridor of the blocked ik_phase, its sphere lifted to clear
+        # the start by 0.5 mm: still within touch of every cell, so every
+        # solve is blocked and returns the start state, and after
+        # _STALL_WINDOW identical steps the stall rule ends the plan
+        doc = {
+            "schema_version": 1,
+            "name": "corridor",
+            "chain": {
+                "base": [0.0, 0.0, 0.0],
+                "base_direction": [1.0, 0.0, 0.0],
+                "links": [{"length": 0.1, "thickness": 0.01}] * 2,
+                "limits": [{"pitch": [0.0, 0.0], "yaw": [-0.05, 0.05]}] * 2,
+            },
+            "initial_angles": [[0.0, 0.0]] * 2,
+            "goal": [0.15, 0.1, 0.0],
+            "obstacles": [{"center": [0.1, 0.0, 0.0505], "radius": 0.04}],
+        }
+        scenario = scenario_from_dict(doc)
+        state = scenario.initial_state()
+        blocked = ik_phase(scenario.chain, state, np.array([0.2, 0.02, 0.0]), scenario.obstacles, scenario.planner)
+        assert blocked.status is SolveStatus.BLOCKED and blocked.iterations == 0
+        out = plan(scenario.chain, state, scenario.goal, scenario.obstacles, scenario.planner)
+        assert out.status is PlanStatus.STALLED
+        assert len(out.trajectory) == 1 + vofabrik.planner._STALL_WINDOW
+        for row in out.trajectory[1:]:
+            assert np.array_equal(row.positions, state.positions) and np.array_equal(row.angles, state.angles)
+        assert validate_trajectory(scenario.chain, record_from_outcome(scenario, out), scenario.obstacles) == []
+
+    def test_blocked_solve_no_longer_ends_the_cavity_plan(self):
+        # with epsilon 2e-3 one solve of this plan is blocked: the plan
+        # records its step and goes on to the goal
+        sc = load_scenario(scenario_path("cavity_19dof_extended"))
+        cfg = dataclasses.replace(sc.planner, ik=dataclasses.replace(sc.planner.ik, epsilon=2e-3))
+        out = plan(sc.chain, sc.initial_state(), sc.goal, sc.obstacles, cfg)
+        assert out.status is PlanStatus.GOAL_REACHED
+        assert len(out.trajectory) == 28
+        assert validate_trajectory(sc.chain, record_from_outcome(sc, out), sc.obstacles) == []
 
     def test_unreachable_goal_stalls(self):
         model = make_chain(3)
@@ -1048,6 +1088,40 @@ class TestBroadPhaseReject:
         goal = state.positions[-1] + rng.normal(scale=0.05, size=3)
         self.run_checked(monkeypatch, model, state, goal, obstacles, PlannerConfig(max_steps=4))
         assert CheckedChooser.rasterized > 0
+
+    @pytest.mark.parametrize("base", [1e8, 1e12])
+    def test_ball_pretest_keeps_what_the_keep_test_keeps_far_from_the_origin(self, base):
+        # forward visits at joint 0 of a 3-link chain based far out: link 2
+        # lies on a ray from the pivot, its near end (its closest point)
+        # within 3e-8 m inside the keep bound, where the midpoint's
+        # rounding exceeds a bound loosened without the chain's extent
+        model = ChainModel(
+            base=(base, base, base),
+            base_direction=(1.0, 0.0, 0.0),
+            links=[LinkSpec(0.1, 0.01)] * 3,
+            limits=[JointLimits.unlimited()] * 3,
+        )
+        cfg = PlannerConfig()
+        chooser = RecordingChooser(model, [], cfg)
+        reference = ReferenceNarrowPhase(model, [], cfg)
+        bound = 0.1 + 0.01 + cfg.clearance_margin + 0.01 + chooser._lips[0]
+        rng = np.random.default_rng(0)
+        kept = 0
+        for _ in range(2000):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            pivot = model.base + rng.uniform(-1.0, 1.0, 3)
+            near = bound - rng.uniform(0.0, 3e-8)
+            positions = [pivot, pivot + 0.1 * u[[1, 2, 0]], pivot + near * u, pivot + (near + 0.1) * u]
+            choose = chooser(Phase.FORWARD, [tuple(p.tolist()) for p in positions])
+            choose(0, JointAngles(0.0, 0.0), model.limits[0], model.base_frame(), tuple(pivot.tolist()))
+            positions = np.array(positions)
+            reference.enter_sweep(positions)
+            centers, touch = reference.touch_spheres(Phase.FORWARD, 0, positions, pivot)
+            want = [] if centers is None else [(*c, t) for c, t in zip(centers.tolist(), touch.tolist())]
+            assert chooser.spheres == want
+            kept += bool(want)
+        assert kept > 500
 
 
 class RecordingChooser(ConeConstraints):
