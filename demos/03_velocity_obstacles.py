@@ -1,8 +1,8 @@
 """Velocity obstacles: which velocities lead to a collision, and how to dodge.
 
-A moving sphere induces a cone in relative-velocity space. Any velocity
-whose relative part points inside the cone and reaches the obstacle
-within the time horizon is forbidden; everything else is admissible.
+A fixed sphere induces a cone in velocity space. Any velocity that
+points inside the cone and reaches the obstacle within the time horizon
+is forbidden; everything else is admissible.
 When the preferred velocity is forbidden, the filter picks the nearest
 admissible one from a deterministic direction fan.
 """
@@ -24,7 +24,7 @@ cfg = VOConfig()  # horizon 0.6 s by default
 
 agent_center = np.zeros(3)
 agent_radius = 0.05
-obstacle = SphereObstacle(center=(0.5, 0.0, 0.0), radius=0.15, velocity=(0.0, 0.0, 0.0))
+obstacle = SphereObstacle(center=(0.5, 0.0, 0.0), radius=0.15)
 cone = collision_cone(agent_center, agent_radius, obstacle)
 print(f"cone axis {cone.axis}, half angle {np.degrees(cone.half_angle):.1f} deg")
 
@@ -38,18 +38,9 @@ for v in [(1.0, 0.0, 0.0), (1.0, 0.45, 0.0), (0.2, 0.0, 0.0), (-1.0, 0.0, 0.0)]:
 # slow approaches are fine: contact falls outside the horizon
 print("\nslow approach ok because 0.3 m of gap / 0.2 m/s > 0.6 s horizon")
 
-# a moving obstacle shifts the cone apex by its own velocity
-mover = SphereObstacle(center=(0.5, -0.3, 0.0), radius=0.15, velocity=(0.0, 0.9, 0.0))
-mover_cone = collision_cone(agent_center, agent_radius, mover)
-v = np.array([1.0, 0.0, 0.0])
-print(
-    f"crossing obstacle: v={v} forbidden={in_cone(v, mover_cone, cfg)} "
-    f"(the obstacle will be in the way by the time the agent gets there)"
-)
-
 # the filter returns the preferred velocity untouched when it is safe,
 # otherwise the nearest safe velocity of the same magnitude
-cones = [cone, mover_cone]
+cones = [cone]
 for v_pref in [(0.3, 0.3, 0.0), (1.0, 0.0, 0.0)]:
     v_safe = admissible_velocity(v_pref, cones, cfg)
     moved = "kept" if np.allclose(v_safe, v_pref) else "steered to"
@@ -70,7 +61,7 @@ except ImportError:
     plt = None
 
 if plt is not None:
-    # paint the z=0 slice of velocity space for the two cones
+    # paint the z=0 slice of velocity space for the cone
     span = np.linspace(-1.5, 1.5, 301)
     vx, vy = np.meshgrid(span, span)
     forbidden = np.zeros_like(vx, dtype=bool)

@@ -112,18 +112,21 @@ def _default_chooser(phase, positions):
     return _clamp
 
 
-def _entry_directions(positions: np.ndarray) -> np.ndarray:
-    diffs = np.diff(positions, axis=0)
-    return diffs / np.linalg.norm(diffs, axis=1)[:, None]
+def _entry_direction(entry, i):
+    """Link i's unit direction in a phase's entry positions. Its norm sums
+    the squares unfused, left to right, as np.linalg.norm(axis=1) does."""
+    dx, dy, dz = (b - a for a, b in zip(entry[i], entry[i + 1]))
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return dx / n, dy / n, dz / n
 
 
 def _direction(p_from, p_to, entry, i):
     """Unit vector from p_from to p_to. If they coincide, link i's
-    direction in the phase's entry rows, from _entry_directions."""
+    direction in the phase's entry positions."""
     dx, dy, dz = p_to[0] - p_from[0], p_to[1] - p_from[1], p_to[2] - p_from[2]
     n = math.sqrt(fma(dz, dz, fma(dy, dy, dx * dx)))
     if n < DEGENERACY_THRESHOLD:
-        return tuple(_entry_directions(np.array(entry))[i].tolist())
+        return _entry_direction(entry, i)
     return dx / n, dy / n, dz / n
 
 

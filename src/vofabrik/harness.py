@@ -4,8 +4,8 @@ A scenario is a single JSON document (``schema_version`` 1) describing a
 chain, its home configuration, a goal point, spherical obstacles, and planner
 overrides. All lengths are meters and all angles radians; the ``units`` block
 restates that inside the file so assets are self-describing. Obstacles are
-static: a nonzero ``velocity`` is a ValidationError, because the planner's
-chooser, its clearance check and the validator all hold obstacles fixed.
+static: SphereObstacle rejects a nonzero ``velocity`` (a ValidationError
+here), as the chooser, the clearance check and the validator hold them fixed.
 
 Schema::
 
@@ -291,10 +291,9 @@ def _parse_obstacles(raw, where):
     for i, entry in enumerate(_list_of(raw, where)):
         center = _vec3(_require(entry, "center", f"{where}[{i}]"), f"{where}[{i}].center")
         radius = _number(_require(entry, "radius", f"{where}[{i}]"), f"{where}[{i}].radius")
-        if "velocity" in entry and _vec3(entry["velocity"], f"{where}[{i}].velocity").any():
-            raise ValidationError(f"{where}[{i}].velocity: obstacle {i} must be static (zero velocity)")
+        velocity = _vec3(entry.get("velocity", [0.0, 0.0, 0.0]), f"{where}[{i}].velocity")
         try:
-            obstacles.append(SphereObstacle(center, radius))
+            obstacles.append(SphereObstacle(center, radius, velocity))
         except ValueError as e:
             raise ValidationError(f"{where}[{i}]: {e}") from e
     return obstacles

@@ -521,7 +521,7 @@ def _end_effector_velocity(model, state, goal, obstacles, cfg, remaining):
     for o in obstacles:
         d = float(np.linalg.norm(o.center - state.positions[-1]))
         margin = max(0.0, min(cfg.clearance_margin, 0.5 * (d - ee_radius - o.radius)))
-        inflated = SphereObstacle(o.center, o.radius + margin, o.velocity)
+        inflated = SphereObstacle(o.center, o.radius + margin)
         cones.append(collision_cone(state.positions[-1], ee_radius, inflated))
     return admissible_velocity(v_pref, cones, cfg.vo)
 

@@ -1,12 +1,12 @@
-"""Velocity obstacles for a spherical agent among spherical obstacles.
+"""Velocity obstacles for a spherical agent among fixed spherical obstacles.
 
 A collision cone is the set of agent velocities that lead to contact with
-one obstacle under constant velocities. Membership combines an angular
-test against the cone axis with a time-truncation test: only collisions
-that would actually occur within the configured horizon count. The
-truncation uses the exact first-contact time of the relative-motion ray
-against the combined sphere, not the axial-distance shortcut, so the
-admissible set has no false positives for off-axis velocities.
+one obstacle when the agent moves at constant velocity. Membership
+combines an angular test against the cone axis with a time-truncation
+test: only collisions that would actually occur within the configured
+horizon count. The truncation uses the exact first-contact time of the
+agent's ray against the combined sphere, not the axial-distance shortcut,
+so the admissible set has no false positives for off-axis velocities.
 
 Velocity re-selection preserves speed: a deterministic Fibonacci sphere
 lattice is scanned for the admissible direction closest to the preferred
@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import DEGENERACY_THRESHOLD, as_length, as_vec3
 
-_REST_SPEED = 1e-15  # m/s; below this a relative velocity cannot cause collision
+_REST_SPEED = 1e-15  # m/s; a velocity slower than this never reaches an obstacle
 _REFINEMENT_STEPS = 60
 _BOUNDARY_EPSILON = 1e-3  # rad; in_cone's angular margin inside the cone surface
 _DIRECTION_SAMPLES = 256  # Fibonacci lattice directions scanned for a blocked v_pref
@@ -39,7 +39,8 @@ class NoAdmissibleVelocity(RuntimeError):
 
 @dataclass(frozen=True)
 class SphereObstacle:
-    """Sphere with a constant velocity (zero for static obstacles)."""
+    """A fixed sphere. velocity must be zero, since the chooser,
+    min_clearance and the validator all hold obstacles where they are."""
 
     center: np.ndarray
     radius: float
@@ -49,28 +50,27 @@ class SphereObstacle:
         object.__setattr__(self, "center", as_vec3(self.center, "obstacle center"))
         object.__setattr__(self, "radius", as_length(self.radius, "obstacle radius", DEGENERACY_THRESHOLD))
         object.__setattr__(self, "velocity", as_vec3(self.velocity, "obstacle velocity"))
+        if self.velocity.any():
+            raise ValueError(f"obstacle velocity must be zero, got {self.velocity.tolist()}")
 
 
 @dataclass(frozen=True)
 class CollisionCone:
     """Truncated cone of colliding velocities for one agent/obstacle pair.
 
-    apex_velocity_offset shifts the cone in velocity space by the obstacle
-    velocity; axis points from the agent center to the obstacle center;
-    truncation_distance is the center distance, combined_radius the sum of
-    the two radii. half_angle, asin(combined_radius / truncation_distance),
-    is derived from them.
+    Its apex is the zero velocity; axis points from the agent center to the
+    obstacle center; truncation_distance is the center distance,
+    combined_radius the sum of the two radii. half_angle,
+    asin(combined_radius / truncation_distance), is derived from them.
     """
 
-    apex_velocity_offset: np.ndarray
     axis: np.ndarray
     truncation_distance: float
     combined_radius: float
     half_angle: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("apex_velocity_offset", "axis"):
-            object.__setattr__(self, name, as_vec3(getattr(self, name), name))
+        object.__setattr__(self, "axis", as_vec3(self.axis, "axis"))
         for name in ("truncation_distance", "combined_radius"):
             object.__setattr__(self, name, as_length(getattr(self, name), name))
         if self.truncation_distance <= self.combined_radius:
@@ -95,7 +95,7 @@ class VOConfig:
 
 
 def collision_cone(agent_center, agent_radius: float, obstacle: SphereObstacle) -> CollisionCone:
-    """Cone of relative velocities whose ray passes within the combined radius.
+    """Cone of agent velocities whose ray passes within the combined radius.
 
     Raises AlreadyInCollision when the spheres overlap (center distance
     not greater than the radius sum).
@@ -109,26 +109,21 @@ def collision_cone(agent_center, agent_radius: float, obstacle: SphereObstacle) 
         raise AlreadyInCollision(
             f"center distance {d:.6g} m <= combined radius {combined:.6g} m"
         )
-    return CollisionCone(
-        apex_velocity_offset=obstacle.velocity,
-        axis=offset / d,
-        truncation_distance=d,
-        combined_radius=combined,
-    )
+    return CollisionCone(axis=offset / d, truncation_distance=d, combined_radius=combined)
 
 
 def first_contact_time(v, cone: CollisionCone) -> float:
     """Exact time at which velocity v first touches the cone's sphere.
 
-    Solves ||t * v_rel - d_vec|| = combined_radius for the smaller root;
+    Solves ||t * v - d_vec|| = combined_radius for the smaller root;
     returns +inf when the ray misses or recedes.
     """
-    rel = as_vec3(v, "velocity") - cone.apex_velocity_offset
+    v = as_vec3(v, "velocity")
     d_vec = cone.axis * cone.truncation_distance
-    a = float(np.dot(rel, rel))
+    a = float(np.dot(v, v))
     if a < _REST_SPEED**2:
         return math.inf
-    b = float(np.dot(rel, d_vec))
+    b = float(np.dot(v, d_vec))
     if b <= 0.0:
         return math.inf
     c = cone.truncation_distance**2 - cone.combined_radius**2
@@ -141,15 +136,15 @@ def first_contact_time(v, cone: CollisionCone) -> float:
 def in_cone(v, cone: CollisionCone, cfg: VOConfig) -> bool:
     """Whether velocity v leads to contact within the time horizon.
 
-    True iff the relative velocity lies strictly inside the cone (angle to
-    axis below half_angle - _BOUNDARY_EPSILON) and the exact first-contact
-    time is within cfg.time_horizon.
+    True iff v lies strictly inside the cone (angle to axis below
+    half_angle - _BOUNDARY_EPSILON) and the exact first-contact time is
+    within cfg.time_horizon.
     """
-    rel = as_vec3(v, "velocity") - cone.apex_velocity_offset
-    speed = float(np.linalg.norm(rel))
+    v = as_vec3(v, "velocity")
+    speed = float(np.linalg.norm(v))
     if speed < _REST_SPEED:
         return False
-    cos_angle = float(np.dot(rel, cone.axis)) / speed
+    cos_angle = float(np.dot(v, cone.axis)) / speed
     angle = math.acos(min(max(cos_angle, -1.0), 1.0))
     if angle >= cone.half_angle - _BOUNDARY_EPSILON:
         return False

@@ -367,31 +367,20 @@ class TestAcceptance:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             distance = agent_radius + obstacle_radius + rng.uniform(0.01, 1.8)
-            obstacle_velocity = (
-                np.zeros(3)
-                if rng.random() < 0.5
-                else rng.normal(size=3) * rng.uniform(0.0, 1.5)
-            )
-            obstacle = SphereObstacle(
-                center=agent_center + axis * distance,
-                radius=obstacle_radius,
-                velocity=obstacle_velocity,
-            )
+            obstacle = SphereObstacle(center=agent_center + axis * distance, radius=obstacle_radius)
             cone = collision_cone(agent_center, agent_radius, obstacle)
 
             speed = rng.uniform(0.2, 2.5)
             if rng.random() < 0.5:
                 aim = axis + rng.normal(size=3) * rng.uniform(0.0, 0.6)
                 aim /= np.linalg.norm(aim)
-                velocity = obstacle_velocity + aim * speed
+                velocity = aim * speed
             else:
                 velocity = rng.normal(size=3) * rng.uniform(0.1, 1.5)
 
             predicted = in_cone(velocity, cone, cfg)
-            relative_path = (agent_center + np.outer(ts, velocity)) - (
-                obstacle.center + np.outer(ts, obstacle_velocity)
-            )
-            closest = float(np.min(np.linalg.norm(relative_path, axis=1)))
+            path = agent_center + np.outer(ts, velocity) - obstacle.center
+            closest = float(np.min(np.linalg.norm(path, axis=1)))
             actual = closest <= agent_radius + obstacle_radius
 
             if predicted == actual:
@@ -401,14 +390,11 @@ class TestAcceptance:
             # disagreements must hug the cone surface or the horizon edge;
             # solve the contact quadratic here rather than trusting the
             # library's own version of it
-            relative = velocity - obstacle_velocity
-            rel_speed = float(np.linalg.norm(relative))
-            angle = math.acos(
-                min(max(float(np.dot(relative, cone.axis)) / rel_speed, -1.0), 1.0)
-            )
+            norm = float(np.linalg.norm(velocity))
+            angle = math.acos(min(max(float(np.dot(velocity, cone.axis)) / norm, -1.0), 1.0))
             to_center = obstacle.center - agent_center
-            a = rel_speed**2
-            b = float(np.dot(relative, to_center))
+            a = norm**2
+            b = float(np.dot(velocity, to_center))
             c = float(np.dot(to_center, to_center)) - (agent_radius + obstacle_radius) ** 2
             disc = b * b - a * c
             t_contact = (

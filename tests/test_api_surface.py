@@ -102,6 +102,27 @@ def test_a_blocked_visit_ends_only_the_solve():
     assert catchers == [("fabrik", "solve")]
 
 
+def test_obstacles_are_static_everywhere():
+    """Obstacles have one meaning: no module names apex_velocity_offset,
+    and the one .velocity read in the package is SphereObstacle's own
+    check that it is zero, so the field cannot regain a meaning while it
+    stays."""
+
+    def velocity_reads(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "velocity":
+                yield where
+            inner = f"{where}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else where
+            yield from velocity_reads(child, inner)
+
+    reads = []
+    for path in sorted((ROOT / "src" / "vofabrik").glob("*.py")):
+        text = path.read_text()
+        assert "apex_velocity_offset" not in text, path.name
+        reads += velocity_reads(ast.parse(text), path.stem)
+    assert set(reads) == {"velocity_obstacles.SphereObstacle.__post_init__"}
+
+
 def test_chooser_visit_path_uses_no_numpy():
     """A chooser visit runs in plain floats: ConeConstraints.__call__, the
     choose function it returns, and every method or package function they

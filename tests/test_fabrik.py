@@ -285,9 +285,9 @@ class TestFrozenReference:
     @pytest.mark.parametrize("constrained", [False, True])
     def test_solve_matches_numpy_sweep_on_random_chains(self, monkeypatch, constrained):
         fallbacks = []
-        entry_directions = vofabrik.fabrik._entry_directions
+        entry_direction = vofabrik.fabrik._entry_direction
         monkeypatch.setattr(
-            vofabrik.fabrik, "_entry_directions", lambda p: fallbacks.append(1) or entry_directions(p)
+            vofabrik.fabrik, "_entry_direction", lambda entry, i: fallbacks.append(1) or entry_direction(entry, i)
         )
         cfg = FabrikConfig(max_iterations=30)
         statuses = set()

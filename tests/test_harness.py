@@ -221,7 +221,7 @@ class TestLoadScenario:
         doc["obstacles"].append({"center": [0.0, 0.2, 0.0], "radius": 0.02, "velocity": [0.0, 0.0, 0.0]})
         assert len(scenario_from_dict(doc).obstacles) == 2
         doc["obstacles"][1]["velocity"] = [0.0, -0.1, 0.0]
-        with pytest.raises(ValidationError, match=r"obstacles\[1\]\.velocity: obstacle 1 must be static"):
+        with pytest.raises(ValidationError, match=r"obstacles\[1\]: obstacle velocity must be zero"):
             scenario_from_dict(doc)
 
     def test_removed_setting_rejected(self):

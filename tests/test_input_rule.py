@@ -49,8 +49,7 @@ VECTOR_ENTRIES = {
     "capsule_sphere_distance.center": lambda v: capsule_sphere_distance(CAPSULE, v, 0.1),
     "SphereObstacle.center": lambda v: SphereObstacle(v, 0.5),
     "SphereObstacle.velocity": lambda v: SphereObstacle((0.0, 2.0, 0.0), 0.5, v),
-    "CollisionCone.apex_velocity_offset": lambda v: CollisionCone(v, (0.0, 1.0, 0.0), 2.0, 0.6),
-    "CollisionCone.axis": lambda v: CollisionCone((0.0, 0.0, 0.0), v, 2.0, 0.6),
+    "CollisionCone.axis": lambda v: CollisionCone(v, 2.0, 0.6),
     "collision_cone.agent_center": lambda v: collision_cone(v, 0.1, OBSTACLE),
     "first_contact_time.v": lambda v: first_contact_time(v, CONE),
     "in_cone.v": lambda v: in_cone(v, CONE, VOConfig()),
@@ -66,8 +65,8 @@ SIZE_ENTRIES = {
     "Capsule3.radius": lambda x: Capsule3(SEGMENT, x),
     "capsule_sphere_distance.radius": lambda x: capsule_sphere_distance(CAPSULE, (0.0, 1.0, 0.0), x),
     "SphereObstacle.radius": lambda x: SphereObstacle((0.0, 2.0, 0.0), x),
-    "CollisionCone.truncation_distance": lambda x: CollisionCone((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), x, 0.2),
-    "CollisionCone.combined_radius": lambda x: CollisionCone((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 2.0, x),
+    "CollisionCone.truncation_distance": lambda x: CollisionCone((0.0, 1.0, 0.0), x, 0.2),
+    "CollisionCone.combined_radius": lambda x: CollisionCone((0.0, 1.0, 0.0), 2.0, x),
     "collision_cone.agent_radius": lambda x: collision_cone((0.0, 0.0, 0.0), x, OBSTACLE),
     "ChainModel.link_length": lambda x: chain(length=x),
     "ChainModel.link_thickness": lambda x: chain(thickness=x),
@@ -90,9 +89,10 @@ CASES = [
 
 
 def test_good_values_pass():
-    # the table's other arguments are valid, so each case fails on its bad value
-    for call in VECTOR_ENTRIES.values():
-        call((0.0, 0.6, 0.8))
+    # the table's other arguments are valid, so each case fails on its bad
+    # value; an obstacle's velocity has one good value, zero (of either sign)
+    for entry, call in VECTOR_ENTRIES.items():
+        call((0.0, -0.0, 0.0) if entry == "SphereObstacle.velocity" else (0.0, 0.6, 0.8))
     for call in SIZE_ENTRIES.values():
         call(0.3)
 

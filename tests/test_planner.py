@@ -578,17 +578,22 @@ class TestPlan:
         with pytest.raises(InitialStateInCollision):
             plan(model, state, np.array([0.3, 0.1, 0.0]), obstacles)
 
-    def test_fast_incoming_obstacle_blocks_every_velocity(self):
+    def test_static_cage_blocks_every_velocity(self):
         model = make_chain(3)
         state = state_from_angles(model, np.zeros((3, 2)))
+        tip = state.positions[-1]
         goal = np.array([0.35, 0.1, 0.0])
-        # large sphere far ahead, closing fast: every end-effector
-        # velocity at planning speed leads to contact within the horizon
-        obstacles = [
-            SphereObstacle(
-                np.array([1.5, 0.0, 0.0]), 0.5, velocity=np.array([-5.0, 0.0, 0.0])
-            )
-        ]
+        # fixed spheres round the tip: one ahead, four large ones at the
+        # sides and four small ones behind it, between the sides and the
+        # last link, so every direction at planning speed leads to contact
+        # within the horizon
+        obstacles = [SphereObstacle(tip + (0.06, 0.0, 0.0), 0.04)]
+        obstacles += [SphereObstacle(tip + s * 0.116 * axis, 0.1) for axis in np.eye(3)[1:] for s in (1.0, -1.0)]
+        back = math.radians(31.0)
+        for phi in np.radians([0.0, 90.0, 180.0, 270.0]):
+            offset = (-math.cos(back), math.sin(back) * math.cos(phi), math.sin(back) * math.sin(phi))
+            obstacles.append(SphereObstacle(tip + 0.03 * np.array(offset), 0.005))
+        assert 0.0 < min_clearance(model, state.positions, obstacles) < 5e-4
         out = plan(model, state, goal, obstacles, PlannerConfig())
         assert out.status is PlanStatus.NO_ADMISSIBLE_VELOCITY
         assert len(out.trajectory) == 1
@@ -911,6 +916,16 @@ class TestFloatFacts:
                 assert dot == fma(x2, y2, fma(x1, y1, x0 * y0)) == float(x @ y), scale
                 norm2 = vofabrik.geometry.fma(x2, x2, vofabrik.geometry.fma(x1, x1, x0 * x0))
                 assert math.sqrt(norm2) == float(np.linalg.norm(x)), scale
+
+    def test_row_norms_sum_unfused_left_to_right(self):
+        rng = np.random.default_rng(15)
+        for scale in (1e-6, 1e-3, 1.0, 1e3):
+            rows = rng.normal(size=(25_000, 3)) * scale
+            want = [math.sqrt(x * x + y * y + z * z) for x, y, z in rows.tolist()]
+            assert np.linalg.norm(rows, axis=1).tolist() == want, (
+                "np.linalg.norm(axis=1) must sum a row of three as (x*x + y*y) + z*z, "
+                "the rounding fabrik._entry_direction repeats for a degenerate link"
+            )
 
     def test_grid_trig_tables_equal_trig_of_the_grid(self):
         res = PlannerConfig().angular_resolution
