@@ -224,6 +224,19 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match=r"obstacles\[1\]: obstacle velocity must be zero"):
             scenario_from_dict(doc)
 
+    def test_malformed_velocity_rejected_by_parser(self):
+        doc = toy_doc()
+        doc["obstacles"][0]["velocity"] = [0.0, 0.0]
+        with pytest.raises(ParseError, match=r"obstacles\[0\]\.velocity: expected \[x, y, z\]"):
+            scenario_from_dict(doc)
+
+    def test_out_of_range_velocity_fails_input_rule_first(self):
+        # SphereObstacle coerces the velocity before its zero check
+        doc = toy_doc()
+        doc["obstacles"][0]["velocity"] = [1e80, 0.0, 0.0]
+        with pytest.raises(ValidationError, match=r"obstacles\[0\]: obstacle velocity must lie within"):
+            scenario_from_dict(doc)
+
     def test_removed_setting_rejected(self):
         doc = toy_doc()
         doc["planner"] = {"vo": {"boundary_epsilon": 0.01}}

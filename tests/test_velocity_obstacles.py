@@ -103,6 +103,16 @@ class TestSphereObstacle:
         with pytest.raises(ValueError, match="obstacle velocity must be zero"):
             SphereObstacle(center=(2.0, 0.0, 0.0), radius=0.3, velocity=velocity)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"velocity": (0.0, 0.0, 0.0)}, {"velocity": [-0.0, 0, -0.0]}],
+        ids=["absent", "zeros", "signed-zeros"],
+    )
+    def test_zero_velocity_accepted(self, kwargs):
+        obstacle = SphereObstacle(center=(2.0, 0.0, 0.0), radius=0.3, **kwargs)
+        assert obstacle.velocity.dtype == np.float64
+        assert obstacle.velocity.shape == (3,)
+        assert not obstacle.velocity.any()
+
 
 class TestInCone:
     CFG = VOConfig(time_horizon=2.0)
