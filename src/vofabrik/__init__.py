@@ -34,7 +34,6 @@ from .geometry import (
     Segment3,
     capsule_capsule_distance,
     capsule_sphere_distance,
-    segment_segment_distance,
 )
 from .harness import (
     ParseError,
@@ -127,7 +126,6 @@ __all__ = [
     "run_and_report",
     "scenario_from_dict",
     "scenario_path",
-    "segment_segment_distance",
     "solve",
     "state_from_angles",
     "validate_trajectory",

@@ -44,6 +44,8 @@ def _overrides_tree(pairs):
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ParseError(f"--set {pair!r}: {part!r} is not a nested config")
+        if isinstance(node.get(parts[-1]), dict):
+            raise ParseError(f"--set {pair!r}: {parts[-1]!r} holds nested --set values")
         node[parts[-1]] = value
     return tree
 

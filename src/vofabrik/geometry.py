@@ -13,10 +13,10 @@ distance queries need not check again.
 Every vector and size enters through as_vec3 or as_length, which hold one
 rule: it lies within COORDINATE_RANGE, where every distance kernel stays
 finite, and so is not NaN or inf. The distance queries compute on Python
-float triples, read once per endpoint, and build arrays only for the
-witness points they return. Each dot product goes through fma, as np.dot
-rounds it, so every query returns the same distance and witness points
-(==) as the numpy version it replaced (tests/geometry_reference.py).
+float triples, read once per endpoint, and build no array. Each dot
+product goes through fma, as np.dot rounds it, so every query returns the
+same distance (==) as the numpy version it replaced
+(tests/geometry_reference.py).
 """
 
 from __future__ import annotations
@@ -132,14 +132,13 @@ def _project(p, a, d, dd):
     return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
 
 
-def _segment_pair_closest(s1: Segment3, s2: Segment3):
-    # Clamped closest points between two segments, after Ericson,
-    # "Real-Time Collision Detection", 5.1.9, as (distance, point on s1,
-    # point on s2) in float triples. The segment with the smaller endpoint
-    # pair goes first, so swapping the arguments swaps the result exactly.
+def _segment_pair_distance(s1: Segment3, s2: Segment3) -> float:
+    # Distance between two segments from Ericson's clamped closest points,
+    # "Real-Time Collision Detection", 5.1.9, in float triples. The segment
+    # with the smaller endpoint pair goes first, so swapping the arguments
+    # gives the same distance exactly.
     a1, b1, a2, b2 = s1.a.tolist(), s1.b.tolist(), s2.a.tolist(), s2.b.tolist()
-    swap = (a2, b2) < (a1, b1)
-    if swap:
+    if (a2, b2) < (a1, b1):
         a1, b1, a2, b2 = a2, b2, a1, b1
     d1 = _sub(b1, a1)
     d2 = _sub(b2, a2)
@@ -171,29 +170,16 @@ def _segment_pair_closest(s1: Segment3, s2: Segment3):
     # segments (denom cancels), but in that regime the minimum sits at an
     # endpoint projection, which is well-conditioned. Every candidate is a
     # realizable point pair, so the minimum never undershoots.
-    best = (_norm(_sub(p1, p2)), p1, p2)
+    best = _norm(_sub(p1, p2))
     for q1 in (a1, b1):
-        q2 = _project(q1, a2, d2, e)
-        d = _norm(_sub(q1, q2))
-        if d < best[0]:
-            best = (d, q1, q2)
+        d = _norm(_sub(q1, _project(q1, a2, d2, e)))
+        if d < best:
+            best = d
     for q2 in (a2, b2):
-        q1 = _project(q2, a1, d1, a)
-        d = _norm(_sub(q1, q2))
-        if d < best[0]:
-            best = (d, q1, q2)
-    return (best[0], best[2], best[1]) if swap else best
-
-
-def segment_segment_distance(s1: Segment3, s2: Segment3):
-    """Minimum distance between two segments and a witness point pair.
-
-    Returns (distance, point_on_s1, point_on_s2). The evaluation is
-    symmetrized: swapping the arguments returns the identical distance and
-    the witness pair swapped.
-    """
-    dist, p1, p2 = _segment_pair_closest(s1, s2)
-    return dist, np.array(p1), np.array(p2)
+        d = _norm(_sub(_project(q2, a1, d1, a), q2))
+        if d < best:
+            best = d
+    return best
 
 
 def capsule_sphere_distance(c: Capsule3, center, radius: float) -> float:
@@ -214,5 +200,6 @@ def _segment_point_distances(s: Segment3, points) -> list:
 
 
 def capsule_capsule_distance(c1: Capsule3, c2: Capsule3) -> float:
-    """Signed clearance between two capsules (negative when overlapping)."""
-    return _segment_pair_closest(c1.axis, c2.axis)[0] - c1.radius - c2.radius
+    """Signed clearance between two capsules (negative when overlapping),
+    the same value bits in either argument order."""
+    return _segment_pair_distance(c1.axis, c2.axis) - c1.radius - c2.radius

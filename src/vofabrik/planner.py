@@ -41,7 +41,7 @@ min_clearance evaluates all link-obstacle pairs in one batch and all
 non-adjacent link pairs in one segment-segment kernel, both through one
 point-segment row kernel that repeats geometry operation for operation, so
 every row is bit-equal to geometry.capsule_sphere_distance or
-segment_segment_distance. The validator in harness alone keeps the scalar
+capsule_capsule_distance. The validator in harness alone keeps the scalar
 geometry path, as an independent audit.
 """
 
@@ -69,11 +69,11 @@ from .fabrik import (
 )
 from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, _loosen, as_vec3, fma
 from .velocity_obstacles import (
+    CollisionCone,
     NoAdmissibleVelocity,
     SphereObstacle,
     VOConfig,
     admissible_velocity,
-    collision_cone,
 )
 
 # a plan stalls when the tip moved less than _STALL_DISPLACEMENT (m) on each
@@ -420,7 +420,7 @@ def _segment_distances(a1, b1, a2, b2):
 
     Ericson's clamped closest points ("Real-Time Collision Detection",
     5.1.9) and the four endpoint projections, evaluated operation for
-    operation as geometry._segment_pair_closest does for one pair, so each
+    operation as geometry._segment_pair_distance does for one pair, so each
     row is bit-equal to the scalar path called in the same argument order.
     """
     d1, d2, r = b1 - a1, b2 - a2, a1 - a2
@@ -474,7 +474,7 @@ def min_clearance(model: ChainModel, positions, obstacles) -> float:
     """Smallest clearance over link-obstacle and non-adjacent link pairs.
 
     Each row is bit-equal to geometry.capsule_sphere_distance (link and
-    obstacle) or segment_segment_distance (link pair); the validator keeps
+    obstacle) or capsule_capsule_distance (link pair); the validator keeps
     the scalar path as the independent audit. Positions past
     COORDINATE_RANGE, NaN and inf raise ValueError and a zero-length link
     DegenerateSegment, as the scalar segments do.
@@ -499,7 +499,7 @@ def min_clearance(model: ChainModel, positions, obstacles) -> float:
         best = float(np.min(gaps - th - radii[:, None]))
     i, j = _link_pairs(n)
     if i.size:
-        # segment_segment_distance evaluates each pair with the
+        # capsule_capsule_distance evaluates each pair with the
         # lexicographically smaller (a, b) first; the first differing
         # coordinate decides, and identical keys keep the order
         ends = np.concatenate([a, b], axis=1)
@@ -514,15 +514,20 @@ def min_clearance(model: ChainModel, positions, obstacles) -> float:
 
 
 def _end_effector_velocity(model, state, goal, obstacles, cfg, remaining):
-    """Velocity-obstacle filtered step velocity for the end effector."""
-    v_pref = (cfg.v_pref_speed / remaining) * (goal - state.positions[-1])
+    """Velocity-obstacle filtered step velocity for the end effector. Each
+    obstacle gives the cone collision_cone(tip, ee_radius, SphereObstacle(
+    center, radius + margin)), the margin shrunk to half the gap when the
+    tip is close, in the same float operations but with no input check
+    repeated on an obstacle already checked."""
+    tip = state.positions[-1]
+    v_pref = (cfg.v_pref_speed / remaining) * (goal - tip)
     ee_radius = float(model.thicknesses[-1])
     cones = []
     for o in obstacles:
-        d = float(np.linalg.norm(o.center - state.positions[-1]))
+        offset = o.center - tip
+        d = float(np.linalg.norm(offset))
         margin = max(0.0, min(cfg.clearance_margin, 0.5 * (d - ee_radius - o.radius)))
-        inflated = SphereObstacle(o.center, o.radius + margin)
-        cones.append(collision_cone(state.positions[-1], ee_radius, inflated))
+        cones.append(CollisionCone(offset / d, d, ee_radius + (o.radius + margin)))
     return admissible_velocity(v_pref, cones, cfg.vo)
 
 

@@ -6,8 +6,9 @@ as they ran on numpy 3-vectors before the queries moved to Python float
 triples: differences and witness points as numpy arrays, dot products by
 np.dot and lengths by np.linalg.norm.
 
-The geometry queries must give the same distances (==) and the same
-witness points (array_equal) on the same segments.
+The geometry queries, which now return the distance alone, must give the
+same distances (==) on the same segments; test_geometry checks that this
+copy's witness points realize them.
 """
 
 import numpy as np

@@ -24,6 +24,7 @@ import validator_reference
 from chooser_oracle import ChooserCase
 from clearance_oracle import scalar_min_clearance
 from vofabrik import (
+    Capsule3,
     ChainModel,
     JointLimits,
     Phase,
@@ -32,6 +33,8 @@ from vofabrik import (
     SolveStatus,
     SphereObstacle,
     VOConfig,
+    admissible_velocity,
+    capsule_capsule_distance,
     capsule_sphere_distance,
     collision_cone,
     in_cone,
@@ -43,11 +46,11 @@ from vofabrik import (
     record_from_outcome,
     run_and_report,
     scenario_path,
-    segment_segment_distance,
     solve,
     state_from_angles,
     validate_trajectory,
 )
+from vofabrik.planner import _end_effector_velocity
 from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON
 
 UNLIMITED = JointLimits.unlimited()
@@ -204,7 +207,7 @@ class TestAcceptance:
 
     def test_batched_clearance_matches_scalar_on_shipped_plans(self, shipped_runs):
         """min_clearance equals the scalar reference exactly on every shipped state:
-        link pairs against segment_segment_distance, obstacle rows against
+        link pairs against capsule_capsule_distance, obstacle rows against
         capsule_sphere_distance; obstacles set the minimum on some states."""
         states = binding = 0
         for name, (scenario, outcome) in shipped_runs.items():
@@ -218,7 +221,7 @@ class TestAcceptance:
                 binding += got < links
         assert binding > 0
         print(
-            "clearance kernel PASS - link pairs bit-equal to segment_segment_distance, "
+            "clearance kernel PASS - link pairs bit-equal to capsule_capsule_distance, "
             f"obstacle rows to capsule_sphere_distance, on {states} shipped states, obstacles closest on {binding}"
         )
 
@@ -268,9 +271,10 @@ class TestAcceptance:
 
     def test_scalar_geometry_matches_numpy_reference_on_shipped_plans(self, shipped_runs):
         """Every link pair and every link-obstacle pair of every shipped state
-        gives the frozen numpy geometry's distance and witness points (==):
-        the validator's queries are bit-equal to the numpy code they
-        replaced. Both sides evaluate a pair in one canonical order, which
+        gives the frozen numpy geometry's distance (==): the validator's
+        queries are bit-equal to the numpy code they replaced. Link pairs
+        are compared as radius-0 capsules, exact since d - 0.0 - 0.0 == d.
+        Both sides evaluate a pair in one canonical order, which
         test_geometry checks under argument swap."""
         pairs = 0
         for name, (scenario, outcome) in shipped_runs.items():
@@ -281,12 +285,40 @@ class TestAcceptance:
                         want = geometry_reference.capsule_sphere_distance(capsule, o.center, o.radius)
                         assert capsule_sphere_distance(capsule, o.center, o.radius) == want, (name, k, i)
                     for other in capsules[i + 1 :]:
-                        want = geometry_reference.segment_segment_distance(capsule.axis, other.axis)
-                        got = segment_segment_distance(capsule.axis, other.axis)
-                        assert got[0] == want[0], (name, k, i)
-                        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+                        want = geometry_reference.segment_segment_distance(capsule.axis, other.axis)[0]
+                        got = capsule_capsule_distance(Capsule3(capsule.axis, 0.0), Capsule3(other.axis, 0.0))
+                        assert got == want, (name, k, i)
                         pairs += 1
         print(f"scalar geometry PASS - {pairs} link pairs and every obstacle pair == the numpy reference")
+
+    def test_filter_cones_match_public_definition_on_shipped_plans(self, shipped_runs):
+        """On every shipped state short of the goal, the planner's filtered
+        velocity is array_equal to admissible_velocity over one public
+        collision_cone per obstacle: the tip sphere against the obstacle
+        inflated by the clearance margin, shrunk to half the gap when the
+        tip is close (the step target that benchmarks/tracing.py replays)."""
+        states = turned = 0
+        for name, (scenario, outcome) in shipped_runs.items():
+            model, goal, cfg = scenario.chain, scenario.goal, scenario.planner
+            ee_radius = float(model.thicknesses[-1])
+            for k, state in enumerate(outcome.trajectory):
+                tip = state.positions[-1]
+                remaining = float(np.linalg.norm(goal - tip))
+                if remaining <= cfg.goal_tolerance:
+                    continue
+                v_pref = (cfg.v_pref_speed / remaining) * (goal - tip)
+                cones = []
+                for o in scenario.obstacles:
+                    d = float(np.linalg.norm(o.center - tip))
+                    margin = max(0.0, min(cfg.clearance_margin, 0.5 * (d - ee_radius - o.radius)))
+                    cones.append(collision_cone(tip, ee_radius, SphereObstacle(o.center, o.radius + margin)))
+                want = admissible_velocity(v_pref, cones, cfg.vo)
+                got = _end_effector_velocity(model, state, goal, scenario.obstacles, cfg, remaining)
+                assert np.array_equal(got, want), (name, k)
+                states += 1
+                turned += not np.array_equal(want, v_pref)
+        assert turned > 0
+        print(f"filter cones PASS - == the public collision_cone on {states} shipped states, {turned} turned")
 
     def test_criterion_5_reduces_to_plain_fabrik_without_obstacles(self):
         """No obstacles + unlimited joints: both solvers emit bit-identical states."""

@@ -1,7 +1,9 @@
 """The package's public surface: every name the benchmark scripts call is
-exported, and the quick demos run to completion."""
+exported, every exported function has a caller, and the quick demos run
+to completion."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -27,6 +29,49 @@ def test_benchmark_names_are_exported():
     names = benchmark_names()
     assert {"plan", "solve", "ik_phase", "min_clearance"} <= names
     assert sorted(names - set(vofabrik.__all__)) == []
+
+
+def package_calls():
+    """The name of every function called in the package (through import
+    aliases), except a call inside the function it names."""
+    called = set()
+    for path in sorted((ROOT / "src" / "vofabrik").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names if a.asname}
+        # the innermost function around each node; ast.walk goes outside in
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                name = aliases.get(name, name)
+                if name != owner.get(node):
+                    called.add(name)
+    return called
+
+
+def test_every_exported_function_has_a_caller():
+    """No public function exists that the planner does not use: each
+    function in __all__ is called in the package outside its own
+    definition, or named as vf.<name> by a benchmark script."""
+    functions = {name for name in vofabrik.__all__ if inspect.isfunction(getattr(vofabrik, name))}
+    assert {"plan", "min_clearance", "capsule_capsule_distance"} <= functions
+    assert sorted(functions - package_calls() - benchmark_names()) == []
+
+
+def test_planner_builds_its_cones_directly():
+    """The velocity filter builds each CollisionCone itself: planner.py
+    builds no SphereObstacle and neither imports nor names collision_cone,
+    whose input checks the obstacles already passed."""
+    tree = ast.parse((ROOT / "src" / "vofabrik" / "planner.py").read_text())
+    calls = {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "CollisionCone" in calls and "SphereObstacle" not in calls
+    assert "collision_cone" not in names
 
 
 def test_validator_uses_no_planner_name():

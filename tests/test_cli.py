@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from vofabrik import scenario_path
-from vofabrik.cli import main
+from vofabrik.cli import _overrides_tree, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +69,24 @@ class TestRun:
         )
         assert code == 2
         assert "--set.ik.limit_tolerance: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pairs", [("max_steps.x=1", "max_steps=5"), ("max_steps=5", "max_steps.x=1")]
+    )
+    def test_plain_and_nested_set_on_one_key_exits_two(self, planar_3link, tmp_path, capsys, pairs):
+        # neither order may drop the nested value unreported
+        code = main(
+            ["run", "--scenario", planar_3link, "--out-dir", str(tmp_path), "--set", pairs[0], "--set", pairs[1]]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_plain_set_last_wins(self):
+        assert _overrides_tree(["max_steps=1", "ik.epsilon=1", "max_steps=5", "ik.epsilon=2"]) == {
+            "max_steps": 5,
+            "ik": {"epsilon": 2},
+        }
 
     @pytest.mark.parametrize("pair", ["stall_window=5", "vo.direction_samples=128"])
     def test_removed_setting_exits_two(self, planar_2link, tmp_path, capsys, pair):

@@ -24,7 +24,6 @@ from vofabrik.geometry import (
     _sub,
     capsule_capsule_distance,
     capsule_sphere_distance,
-    segment_segment_distance,
 )
 
 
@@ -34,6 +33,12 @@ def closest_point(p, s: Segment3) -> np.ndarray:
     a = s.a.tolist()
     d = _sub(s.b.tolist(), a)
     return np.array(_project(np.asarray(p, dtype=float).tolist(), a, d, _dot(d, d)))
+
+
+def segment_distance(s1: Segment3, s2: Segment3) -> float:
+    """The segment-segment distance: the clearance of radius-0 capsules,
+    exact since d - 0.0 - 0.0 == d."""
+    return capsule_capsule_distance(Capsule3(s1, 0.0), Capsule3(s2, 0.0))
 
 
 def sampled_segment_distance(s1: Segment3, s2: Segment3, n: int = 1001) -> float:
@@ -76,7 +81,7 @@ class TestMatchesNumpyReference:
     numpy code they replaced."""
 
     def test_segment_pairs(self):
-        # distance and both witness points, in both argument orders
+        # the distance, in both argument orders
         built = 0
         for a1, b1, a2, b2, _ in reference_pairs(3000):
             try:
@@ -84,11 +89,9 @@ class TestMatchesNumpyReference:
             except DegenerateSegment:
                 continue
             for x, y in ((s1, s2), (s2, s1)):
-                want = geometry_reference.segment_segment_distance(x, y)
-                got = segment_segment_distance(x, y)
-                assert got[0] == want[0], (x, y, got, want)
-                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2]), (x, y, got, want)
-                assert capsule_capsule_distance(Capsule3(x, 0.25), Capsule3(y, 0.5)) == want[0] - 0.25 - 0.5
+                want = geometry_reference.segment_segment_distance(x, y)[0]
+                assert segment_distance(x, y) == want, (x, y, want)
+                assert capsule_capsule_distance(Capsule3(x, 0.25), Capsule3(y, 0.5)) == want - 0.25 - 0.5
             built += 1
         assert built > 2900
 
@@ -125,13 +128,6 @@ class TestMatchesNumpyReference:
             capsule_sphere_distance(Capsule3(s, 0.1), (0.0, 0.0), 0.1)
         with pytest.raises(ValueError, match="radius"):
             capsule_sphere_distance(Capsule3(s, 0.1), (0.0, 1.0, 0.0), -0.1)
-
-    def test_witness_points_are_arrays(self):
-        s1 = Segment3((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-        s2 = Segment3((0.0, 1.0, 0.0), (1.0, 1.0, 1.0))
-        _, w1, w2 = segment_segment_distance(s1, s2)
-        for w in (w1, w2):
-            assert isinstance(w, np.ndarray) and w.shape == (3,) and w.dtype == float
 
 
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -186,36 +182,27 @@ class TestSegmentSegmentDistance:
     def test_crossing_perpendicular(self):
         s1 = Segment3((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         s2 = Segment3((0.0, -1.0, 1.0), (0.0, 1.0, 1.0))
-        d, w1, w2 = segment_segment_distance(s1, s2)
-        assert d == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(w1, [0.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(w2, [0.0, 0.0, 1.0], atol=1e-12)
+        assert segment_distance(s1, s2) == pytest.approx(1.0, abs=1e-15)
 
     def test_parallel_offset(self):
         s1 = Segment3((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         s2 = Segment3((0.0, 2.0, 0.0), (1.0, 2.0, 0.0))
-        d, w1, w2 = segment_segment_distance(s1, s2)
-        assert d == pytest.approx(2.0, abs=1e-15)
-        assert w1[0] == pytest.approx(w2[0], abs=1e-12)  # witnesses share x
+        assert segment_distance(s1, s2) == pytest.approx(2.0, abs=1e-15)
 
     def test_endpoint_to_endpoint(self):
         s1 = Segment3((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
         s2 = Segment3((3.0, 4.0, 0.0), (5.0, 4.0, 0.0))
-        d, w1, w2 = segment_segment_distance(s1, s2)
-        assert d == pytest.approx(math.sqrt(20.0), rel=1e-15)
-        np.testing.assert_allclose(w1, [1.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(w2, [3.0, 4.0, 0.0], atol=1e-12)
+        assert segment_distance(s1, s2) == pytest.approx(math.sqrt(20.0), rel=1e-15)
 
     def test_intersecting_segments_give_zero(self):
         s1 = Segment3((-1.0, -1.0, 0.0), (1.0, 1.0, 0.0))
         s2 = Segment3((-1.0, 1.0, 0.0), (1.0, -1.0, 0.0))
-        d, _, _ = segment_segment_distance(s1, s2)
-        assert d == pytest.approx(0.0, abs=1e-12)
+        assert segment_distance(s1, s2) == pytest.approx(0.0, abs=1e-12)
 
     def test_skew_pair_matches_dense_sampling(self):
         s1 = Segment3((0.0, 0.0, 0.0), (2.0, 1.0, 0.5))
         s2 = Segment3((1.0, -1.0, 1.0), (0.5, 2.0, 1.5))
-        d, _, _ = segment_segment_distance(s1, s2)
+        d = segment_distance(s1, s2)
         ds = sampled_segment_distance(s1, s2)
         assert d <= ds + 1e-12
         assert abs(d - ds) < 1e-4
@@ -223,10 +210,13 @@ class TestSegmentSegmentDistance:
     @given(segments(), segments())
     @settings(max_examples=150, deadline=None)
     def test_never_exceeds_sampled_minimum(self, s1, s2):
-        d, w1, w2 = segment_segment_distance(s1, s2)
+        d = segment_distance(s1, s2)
         assert d >= 0.0
         assert d <= sampled_segment_distance(s1, s2, n=101) + 1e-9
-        # witnesses realize the reported distance and lie on their segments
+        # the frozen reference gives the same distance, and its witnesses
+        # realize it and lie on their segments
+        want, w1, w2 = geometry_reference.segment_segment_distance(s1, s2)
+        assert d == want
         assert np.linalg.norm(w1 - w2) == pytest.approx(d, abs=1e-12)
         assert np.linalg.norm(closest_point(w1, s1) - w1) < 1e-9
         assert np.linalg.norm(closest_point(w2, s2) - w2) < 1e-9
@@ -234,15 +224,12 @@ class TestSegmentSegmentDistance:
     @given(segments(), segments())
     @settings(max_examples=300, deadline=None)
     def test_symmetric_under_swap(self, s1, s2):
-        d12, a1, a2 = segment_segment_distance(s1, s2)
-        d21, b2, b1 = segment_segment_distance(s2, s1)
-        assert d12 == d21
-        assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
+        assert segment_distance(s1, s2) == segment_distance(s2, s1)
 
     @given(segments())
     @settings(max_examples=100, deadline=None)
     def test_self_distance_is_zero(self, s):
-        assert segment_segment_distance(s, s)[0] == 0.0
+        assert segment_distance(s, s) == 0.0
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(DegenerateSegment):
