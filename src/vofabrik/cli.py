@@ -27,10 +27,13 @@ from .harness import (
 SOLVERS = ("vofabrik", "fabrik")
 
 
-def _overrides_tree(pairs):
-    """['ik.epsilon=1e-4', 'max_steps=80'] -> {'ik': {'epsilon': 1e-4}, ...}"""
-    tree = {}
-    for pair in pairs:
+def _load(args):
+    """The scenario with each --set key=value applied in order, as a one-key
+    nested override ('ik.epsilon=1e-4' -> {'ik': {'epsilon': 1e-4}}), so a
+    later pair on the same key wins."""
+    scenario = load_scenario(args.scenario)
+    planner = scenario.planner
+    for pair in args.set:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ParseError(f"--set {pair!r}: expected key=value")
@@ -38,24 +41,10 @@ def _overrides_tree(pairs):
             value = json.loads(raw)
         except json.JSONDecodeError:
             raise ParseError(f"--set {pair!r}: {raw!r} is not a number") from None
-        node = tree
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ParseError(f"--set {pair!r}: {part!r} is not a nested config")
-        if isinstance(node.get(parts[-1]), dict):
-            raise ParseError(f"--set {pair!r}: {parts[-1]!r} holds nested --set values")
-        node[parts[-1]] = value
-    return tree
-
-
-def _load(args):
-    scenario = load_scenario(args.scenario)
-    if args.set:
-        planner = config_with_overrides(scenario.planner, _overrides_tree(args.set), "--set")
-        scenario = replace(scenario, planner=planner)
-    return scenario
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        planner = config_with_overrides(planner, value, "--set")
+    return replace(scenario, planner=planner)
 
 
 def _print_report(label, report, violations):

@@ -16,7 +16,8 @@ finite, and so is not NaN or inf. The distance queries compute on Python
 float triples, read once per endpoint, and build no array. Each dot
 product goes through fma, as np.dot rounds it, so every query returns the
 same distance (==) as the numpy version it replaced
-(tests/geometry_reference.py).
+(tests/geometry_reference.py). Their kernels take the float triples, so
+the validator, which checks its points as Segment3 would, builds none.
 """
 
 from __future__ import annotations
@@ -132,12 +133,12 @@ def _project(p, a, d, dd):
     return (a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2])
 
 
-def _segment_pair_distance(s1: Segment3, s2: Segment3) -> float:
-    # Distance between two segments from Ericson's clamped closest points,
-    # "Real-Time Collision Detection", 5.1.9, in float triples. The segment
-    # with the smaller endpoint pair goes first, so swapping the arguments
-    # gives the same distance exactly.
-    a1, b1, a2, b2 = s1.a.tolist(), s1.b.tolist(), s2.a.tolist(), s2.b.tolist()
+def _segment_pair_distance(a1, b1, a2, b2) -> float:
+    # Distance between segments a1b1 and a2b2, given as float triples of one
+    # sequence type and checked as Segment3 checks them, from Ericson's
+    # clamped closest points, "Real-Time Collision Detection", 5.1.9. The
+    # segment with the smaller endpoint pair goes first, so swapping the
+    # segments gives the same distance exactly.
     if (a2, b2) < (a1, b1):
         a1, b1, a2, b2 = a2, b2, a1, b1
     d1 = _sub(b1, a1)
@@ -188,13 +189,14 @@ def capsule_sphere_distance(c: Capsule3, center, radius: float) -> float:
     Negative values mean interpenetration by that depth.
     """
     radius = as_length(radius, "sphere radius")
-    return _segment_point_distances(c.axis, [as_vec3(center, "sphere center").tolist()])[0] - c.radius - radius
+    center = as_vec3(center, "sphere center").tolist()
+    return _segment_point_distances(c.axis.a.tolist(), c.axis.b.tolist(), [center])[0] - c.radius - radius
 
 
-def _segment_point_distances(s: Segment3, points) -> list:
-    # Distance from each float triple in points to the segment s
-    a = s.a.tolist()
-    d = _sub(s.b.tolist(), a)
+def _segment_point_distances(a, b, points) -> list:
+    # Distance from each float triple in points to the segment ab, given as
+    # float triples checked as Segment3 checks them
+    d = _sub(b, a)
     dd = _dot(d, d)
     return [_norm(_sub(p, _project(p, a, d, dd))) for p in points]
 
@@ -202,4 +204,5 @@ def _segment_point_distances(s: Segment3, points) -> list:
 def capsule_capsule_distance(c1: Capsule3, c2: Capsule3) -> float:
     """Signed clearance between two capsules (negative when overlapping),
     the same value bits in either argument order."""
-    return _segment_pair_distance(c1.axis, c2.axis) - c1.radius - c2.radius
+    s1, s2 = c1.axis, c2.axis
+    return _segment_pair_distance(s1.a.tolist(), s1.b.tolist(), s2.a.tolist(), s2.b.tolist()) - c1.radius - c2.radius

@@ -44,7 +44,8 @@ the two radii plus both thicknesses has positive clearance, and the bound is
 loosened (geometry._loosen, scaled by the chain's extent) past the rounding
 of both the balls and the exact queries. So the reject drops only pairs the
 exact queries would pass, and the violations are those of checking every
-pair. The pairs left run through the scalar queries.
+pair. The pairs left run through geometry's scalar kernels, on the float
+triples that pass already checked as Segment3 would.
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ from .chain import ChainModel, JointLimits, LinkSpec, fk, state_from_angles
 from .geometry import (
     COORDINATE_RANGE,
     DEGENERACY_THRESHOLD,
-    Capsule3,
     Segment3,
     _loosen,
+    _segment_pair_distance,
     _segment_point_distances,
     as_vec3,
-    capsule_capsule_distance,
 )
 from .planner import PlannerConfig, PlanStatus, min_clearance, plan
 from .velocity_obstacles import SphereObstacle
@@ -215,13 +215,7 @@ def scenario_from_dict(doc, where="scenario") -> Scenario:
         raise ParseError(f"{where}.units: only meters and radians are supported, got {units!r}")
 
     model = _parse_chain(_require(doc, "chain", where), f"{where}.chain")
-    n = model.n_links
-
     raw_angles = _list_of(_require(doc, "initial_angles", where), f"{where}.initial_angles")
-    if len(raw_angles) != n:
-        raise ValidationError(
-            f"initial_angles count {len(raw_angles)} does not match link count {n}"
-        )
     initial = np.array(
         [_interval(row, f"{where}.initial_angles[{k}]") for k, row in enumerate(raw_angles)]
     )
@@ -266,13 +260,8 @@ def _parse_chain(doc, where) -> ChainModel:
             )
         )
 
-    raw_limits = _list_of(_require(doc, "limits", where), f"{where}.limits")
-    if len(raw_limits) != len(links):
-        raise ValidationError(
-            f"limits count {len(raw_limits)} does not match link count {len(links)}"
-        )
     limits = []
-    for k, entry in enumerate(raw_limits):
+    for k, entry in enumerate(_list_of(_require(doc, "limits", where), f"{where}.limits")):
         plo, phi = _interval(_require(entry, "pitch", f"{where}.limits[{k}]"), f"{where}.limits[{k}].pitch")
         ylo, yhi = _interval(_require(entry, "yaw", f"{where}.limits[{k}]"), f"{where}.limits[{k}].yaw")
         try:
@@ -497,33 +486,28 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
 
 
 def _clearance_violations(model, positions, obstacles, centers, step):
-    """Obstacle and self-collision checks for one state, via capsules;
-    centers are the obstacles' centers as float triples.
+    """Obstacle and self-collision checks for one state, as capsules of the
+    links' thicknesses; centers are the obstacles' centers as float triples.
 
+    Every link is checked first, in plain floats, as Segment3 checks it.
     A pair skips the exact query when its bounding balls provably cannot
     touch (module docstring); a NaN distance fails that test and takes the
-    exact path. Only links with a surviving pair get a capsule, but every
-    link is checked as Segment3 checks it.
+    exact path. The exact queries run geometry's kernels on the checked
+    float triples, so each link is checked once.
     """
     p = positions.tolist()
     r = COORDINATE_RANGE
     inside = [abs(x) <= r and abs(y) <= r and abs(z) <= r for x, y, z in p]
+    thickness = [link.thickness for link in model.links]
     balls = []
-    for k, ((ax, ay, az), (bx, by, bz), link) in enumerate(zip(p, p[1:], model.links)):
+    for k, ((ax, ay, az), (bx, by, bz)) in enumerate(zip(p, p[1:])):
         dx, dy, dz = bx - ax, by - ay, bz - az
         half = 0.5 * math.sqrt(dx * dx + dy * dy + dz * dz)
         # a link twice the threshold long is no degenerate segment; a
-        # shorter one, or one out of range, raises here as its capsule would
+        # shorter one, or one out of range, raises here as Segment3 would
         if not (inside[k] and inside[k + 1] and half >= DEGENERACY_THRESHOLD):
             Segment3(positions[k], positions[k + 1])
-        balls.append((ax + 0.5 * dx, ay + 0.5 * dy, az + 0.5 * dz, half + link.thickness))
-
-    capsules = {}
-
-    def capsule(k):
-        if k not in capsules:
-            capsules[k] = Capsule3(Segment3(positions[k], positions[k + 1]), model.links[k].thickness)
-        return capsules[k]
+        balls.append((ax + 0.5 * dx, ay + 0.5 * dy, az + 0.5 * dz, half + thickness[k]))
 
     scale = model.extent
     out = []
@@ -537,10 +521,9 @@ def _clearance_violations(model, positions, obstacles, centers, step):
             near.append(j)
         if not near:
             continue
-        cap = capsule(k)
-        gaps = _segment_point_distances(cap.axis, [centers[j] for j in near])
+        gaps = _segment_point_distances(p[k], p[k + 1], [centers[j] for j in near])
         for j, gap in zip(near, gaps):
-            clearance = gap - cap.radius - obstacles[j].radius
+            clearance = gap - thickness[k] - obstacles[j].radius
             if clearance <= 0.0:
                 out.append(
                     Violation(
@@ -556,7 +539,7 @@ def _clearance_violations(model, positions, obstacles, centers, step):
             bound = _loosen(rk + rj, scale)
             if dx * dx + dy * dy + dz * dz > bound * bound:
                 continue
-            clearance = capsule_capsule_distance(capsule(k), capsule(j))
+            clearance = _segment_pair_distance(p[k], p[k + 1], p[j], p[j + 1]) - thickness[k] - thickness[j]
             if clearance <= 0.0:
                 out.append(
                     Violation(

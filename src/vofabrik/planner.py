@@ -76,8 +76,8 @@ from .velocity_obstacles import (
     admissible_velocity,
 )
 
-# a plan stalls when the tip moved less than _STALL_DISPLACEMENT (m) on each
-# of the last _STALL_WINDOW steps
+# a plan stalls when a solve returns after 0 iterations, or when the tip
+# moved less than _STALL_DISPLACEMENT (m) on each of the last _STALL_WINDOW steps
 _STALL_WINDOW = 10
 _STALL_DISPLACEMENT = 1e-4
 
@@ -547,7 +547,11 @@ def plan(
     baseline that ignores them: the same loop given no chooser and no
     cones, so its velocity is the preferred one (obstacles still feed the
     clearance metric and the initial-state check). A step whose clearance
-    is not positive ends the plan with COLLISION before it is recorded.
+    is not positive ends the plan with COLLISION before it is recorded. A
+    solve of 0 iterations (blocked at once, or converged on a target
+    within epsilon) returns its start state, so every later step would
+    repeat it bit for bit: its step is recorded and, short of the goal,
+    the plan ends STALLED.
     """
     if solver not in ("vofabrik", "fabrik"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -582,11 +586,12 @@ def plan(
                 v = _end_effector_velocity(model, state, goal, avoided, cfg, remaining)
                 speed = float(np.linalg.norm(v))
                 target = state.positions[-1] + v * min(cfg.t_s, remaining / speed)
-            new_state = fabrik_solve(model, state, target, cfg.ik, choose_angles=chooser).state
+            outcome = fabrik_solve(model, state, target, cfg.ik, choose_angles=chooser)
         except NoAdmissibleVelocity:
             status = PlanStatus.NO_ADMISSIBLE_VELOCITY
             break
         wall = time.perf_counter() - t0
+        new_state = outcome.state
 
         clearance = min_clearance(model, new_state.positions, obstacles)
         if clearance <= 0.0:
@@ -601,7 +606,9 @@ def plan(
         if remaining <= cfg.goal_tolerance:
             status = PlanStatus.GOAL_REACHED
             break
-        if len(recent) == _STALL_WINDOW and all(d < _STALL_DISPLACEMENT for d in recent):
+        if outcome.iterations == 0 or (
+            len(recent) == _STALL_WINDOW and all(d < _STALL_DISPLACEMENT for d in recent)
+        ):
             status = PlanStatus.STALLED
             break
 

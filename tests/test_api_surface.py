@@ -129,6 +129,28 @@ def test_one_loosening_rule():
     assert not {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "np"}
 
 
+def test_validator_checks_each_link_once():
+    """The validator checks every link in plain floats and runs geometry's
+    kernels on the float triples it checked: _clearance_violations builds
+    no Capsule3 and calls Segment3 once, as the sole statement of the
+    range and length fallback (an if testing DEGENERACY_THRESHOLD), whose
+    Segment3 raises."""
+    tree = ast.parse((ROOT / "src" / "vofabrik" / "harness.py").read_text())
+    check = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_clearance_violations")
+    calls = [getattr(n.func, "id", None) for n in ast.walk(check) if isinstance(n, ast.Call)]
+    assert "Capsule3" not in calls and "capsule_capsule_distance" not in calls
+    assert {"_segment_pair_distance", "_segment_point_distances"} <= set(calls)
+    assert calls.count("Segment3") == 1
+    fallbacks = [
+        n
+        for n in ast.walk(check)
+        if isinstance(n, ast.If) and "DEGENERACY_THRESHOLD" in {m.id for m in ast.walk(n.test) if isinstance(m, ast.Name)}
+    ]
+    assert len(fallbacks) == 1 and not fallbacks[0].orelse
+    (only,) = fallbacks[0].body
+    assert isinstance(only, ast.Expr) and getattr(only.value.func, "id", None) == "Segment3"
+
+
 def test_a_blocked_visit_ends_only_the_solve():
     """SafeSetEmpty is caught in one place, fabrik.solve, which ends the
     solve BLOCKED: no other handler in the package, the planner's

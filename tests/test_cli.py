@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from vofabrik import scenario_path
-from vofabrik.cli import _overrides_tree, main
+from vofabrik.cli import _load, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,10 +72,17 @@ class TestRun:
         assert "--set.ik.limit_tolerance: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "pairs", [("max_steps.x=1", "max_steps=5"), ("max_steps=5", "max_steps.x=1")]
+        "pairs",
+        [
+            ("max_steps.x=1", "max_steps=5"),
+            ("max_steps=5", "max_steps.x=1"),
+            ("ik.epsilon=1e-4", "ik=5"),
+            ("ik=5", "ik.epsilon=1e-4"),
+        ],
     )
     def test_plain_and_nested_set_on_one_key_exits_two(self, planar_3link, tmp_path, capsys, pairs):
-        # neither order may drop the nested value unreported
+        # a nested key under a plain field, or a plain value on a nested
+        # config, is an error in either order, never dropped unreported
         code = main(
             ["run", "--scenario", planar_3link, "--out-dir", str(tmp_path), "--set", pairs[0], "--set", pairs[1]]
         )
@@ -82,11 +90,11 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_repeated_plain_set_last_wins(self):
-        assert _overrides_tree(["max_steps=1", "ik.epsilon=1", "max_steps=5", "ik.epsilon=2"]) == {
-            "max_steps": 5,
-            "ik": {"epsilon": 2},
-        }
+    def test_repeated_plain_set_last_wins(self, planar_3link):
+        args = SimpleNamespace(scenario=planar_3link, set=["max_steps=1", "ik.epsilon=1", "max_steps=5", "ik.epsilon=2"])
+        planner = _load(args).planner
+        assert planner.max_steps == 5
+        assert planner.ik.epsilon == 2.0
 
     @pytest.mark.parametrize("pair", ["stall_window=5", "vo.direction_samples=128"])
     def test_removed_setting_exits_two(self, planar_2link, tmp_path, capsys, pair):

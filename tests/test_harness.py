@@ -91,7 +91,7 @@ class TestLoadScenario:
     def test_initial_angles_count_mismatch(self):
         doc = toy_doc()
         doc["initial_angles"] = [[0.0, 0.0]] * 2
-        with pytest.raises(ValidationError, match="initial_angles count"):
+        with pytest.raises(ValidationError, match=r"initial_angles: expected 3 \(pitch, yaw\) pairs, got shape \(2, 2\)"):
             scenario_from_dict(doc)
 
     def test_initial_state_in_collision(self):

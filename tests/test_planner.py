@@ -519,9 +519,9 @@ class TestPlan:
 
     def test_blocked_corridor_stalls_the_plan(self):
         # the corridor of the blocked ik_phase, its sphere lifted to clear
-        # the start by 0.5 mm: still within touch of every cell, so every
-        # solve is blocked and returns the start state, and after
-        # _STALL_WINDOW identical steps the stall rule ends the plan
+        # the start by 0.5 mm: still within touch of every cell, so the
+        # first solve is blocked and returns the start state after 0
+        # iterations, and the plan records that step and stalls
         doc = {
             "schema_version": 1,
             "name": "corridor",
@@ -541,10 +541,24 @@ class TestPlan:
         assert blocked.status is SolveStatus.BLOCKED and blocked.iterations == 0
         out = plan(scenario.chain, state, scenario.goal, scenario.obstacles, scenario.planner)
         assert out.status is PlanStatus.STALLED
-        assert len(out.trajectory) == 1 + vofabrik.planner._STALL_WINDOW
-        for row in out.trajectory[1:]:
-            assert np.array_equal(row.positions, state.positions) and np.array_equal(row.angles, state.angles)
+        assert len(out.trajectory) == 2
+        row = out.trajectory[1]
+        assert np.array_equal(row.positions, state.positions) and np.array_equal(row.angles, state.angles)
         assert validate_trajectory(scenario.chain, record_from_outcome(scenario, out), scenario.obstacles) == []
+
+    def test_solve_blocked_at_once_stalls_the_cavity_plan(self):
+        # with 10 iterations per solve the plan's seventh solve is blocked
+        # in its first iteration; the plan records that step and stalls
+        # instead of repeating it until the stall window fills
+        sc = load_scenario(scenario_path("cavity_19dof_extended"))
+        cfg = dataclasses.replace(sc.planner, ik=dataclasses.replace(sc.planner.ik, max_iterations=10))
+        out = plan(sc.chain, sc.initial_state(), sc.goal, sc.obstacles, cfg)
+        assert out.status is PlanStatus.STALLED
+        assert len(out.trajectory) == 8
+        last, repeat = out.trajectory[-2:]
+        assert np.array_equal(last.positions, repeat.positions) and np.array_equal(last.angles, repeat.angles)
+        assert not any(np.array_equal(a.angles, b.angles) for a, b in zip(out.trajectory[:-2], out.trajectory[1:-1]))
+        assert validate_trajectory(sc.chain, record_from_outcome(sc, out), sc.obstacles) == []
 
     def test_blocked_solve_no_longer_ends_the_cavity_plan(self):
         # with epsilon 2e-3 one solve of this plan is blocked: the plan

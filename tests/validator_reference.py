@@ -57,7 +57,7 @@ def clearance_violations(model, positions, angles, obstacles, centers, step):
     capsules = link_capsules(model, ChainState(positions, angles))
     out = []
     for k, capsule in enumerate(capsules):
-        gaps = _segment_point_distances(capsule.axis, centers)
+        gaps = _segment_point_distances(capsule.axis.a.tolist(), capsule.axis.b.tolist(), centers)
         for j, (obstacle, gap) in enumerate(zip(obstacles, gaps)):
             clearance = gap - capsule.radius - obstacle.radius
             if clearance <= 0.0:
