@@ -3,20 +3,21 @@
 A fixed sphere induces a cone in velocity space. Any velocity that
 points inside the cone and reaches the obstacle within the time horizon
 is forbidden; everything else is admissible.
-When the preferred velocity is forbidden, the filter picks the nearest
-admissible one from a deterministic direction fan.
+The filter, admissible_velocity, returns a safe preferred velocity as it
+is, and otherwise the nearest admissible one of the same speed, picked
+from a deterministic direction fan.
 """
 
 import numpy as np
 
 from vofabrik import (
     AlreadyInCollision,
+    CollisionCone,
+    NoAdmissibleVelocity,
     SphereObstacle,
     VOConfig,
     admissible_velocity,
     collision_cone,
-    first_contact_time,
-    in_cone,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -26,31 +27,44 @@ agent_center = np.zeros(3)
 agent_radius = 0.05
 obstacle = SphereObstacle(center=(0.5, 0.0, 0.0), radius=0.15)
 cone = collision_cone(agent_center, agent_radius, obstacle)
-print(f"cone axis {cone.axis}, half angle {np.degrees(cone.half_angle):.1f} deg")
+gap = cone.truncation_distance - cone.combined_radius
+print(f"cone axis {cone.axis}, half angle {np.degrees(cone.half_angle):.1f} deg, gap {gap:.2f} m")
 
-# head straight at it vs. veer off
+# the same cone built from its fields, as the planner builds its own
+direct = CollisionCone(axis=(1.0, 0.0, 0.0), truncation_distance=0.5, combined_radius=0.2)
+print(f"built directly: half angle {np.degrees(direct.half_angle):.1f} deg")
+
+
+def filtered(v):
+    """The filter's verdict on velocity v against the one cone."""
+    v = np.asarray(v, dtype=float)
+    v_safe = admissible_velocity(v, [cone], cfg)
+    return "ok" if v_safe is v else f"FORBIDDEN, steered to {v_safe}"
+
+
+# head straight at it, veer off, approach slowly, move away
 for v in [(1.0, 0.0, 0.0), (1.0, 0.45, 0.0), (0.2, 0.0, 0.0), (-1.0, 0.0, 0.0)]:
-    t = first_contact_time(v, cone)
-    verdict = "FORBIDDEN" if in_cone(v, cone, cfg) else "ok"
-    when = f"contact in {t:.2f} s" if np.isfinite(t) else "never touches"
-    print(f"v={v}: {when:>20} -> {verdict}")
+    print(f"v={v}: {filtered(v)}")
 
 # slow approaches are fine: contact falls outside the horizon
-print("\nslow approach ok because 0.3 m of gap / 0.2 m/s > 0.6 s horizon")
+print(f"\nslow approach ok because {gap:.1f} m of gap / 0.2 m/s > {cfg.time_horizon} s horizon")
 
-# the filter returns the preferred velocity untouched when it is safe,
-# otherwise the nearest safe velocity of the same magnitude
-cones = [cone]
-for v_pref in [(0.3, 0.3, 0.0), (1.0, 0.0, 0.0)]:
-    v_safe = admissible_velocity(v_pref, cones, cfg)
-    moved = "kept" if np.allclose(v_safe, v_pref) else "steered to"
-    print(f"v_pref={np.asarray(v_pref)} -> {moved} {v_safe}")
+# an agent walled in on all six sides has no admissible direction left
+walls = [
+    collision_cone(agent_center, agent_radius, SphereObstacle(0.5 * s * np.eye(3)[k], 0.4))
+    for k in range(3)
+    for s in (1.0, -1.0)
+]
+try:
+    admissible_velocity((1.0, 0.0, 0.0), walls, cfg)
+except NoAdmissibleVelocity as e:
+    print("\nenclosed agent:", e)
 
 # overlapping spheres have no cone at all: that's a collision, not a dodge
 try:
     collision_cone(agent_center, agent_radius, SphereObstacle((0.1, 0.0, 0.0), 0.15))
 except AlreadyInCollision as e:
-    print("\noverlapping start rejected:", e)
+    print("overlapping start rejected:", e)
 
 try:
     import matplotlib
@@ -61,14 +75,15 @@ except ImportError:
     plt = None
 
 if plt is not None:
-    # paint the z=0 slice of velocity space for the cone
-    span = np.linspace(-1.5, 1.5, 301)
+    # paint the z=0 slice of velocity space: a velocity is forbidden when
+    # the filter does not return it as it is
+    span = np.linspace(-1.5, 1.5, 121)
     vx, vy = np.meshgrid(span, span)
     forbidden = np.zeros_like(vx, dtype=bool)
     for i in range(vx.shape[0]):
         for j in range(vx.shape[1]):
-            v = (float(vx[i, j]), float(vy[i, j]), 0.0)
-            forbidden[i, j] = any(in_cone(v, c, cfg) for c in cones)
+            v = np.array([vx[i, j], vy[i, j], 0.0])
+            forbidden[i, j] = v.any() and admissible_velocity(v, [cone], cfg) is not v
     fig, ax = plt.subplots(figsize=(5, 5))
     ax.contourf(vx, vy, forbidden, levels=[0.5, 1.5], colors=["#d62728"], alpha=0.35)
     ax.plot(0, 0, "k+", markersize=10)

@@ -70,8 +70,6 @@ from .velocity_obstacles import (
     VOConfig,
     admissible_velocity,
     collision_cone,
-    first_contact_time,
-    in_cone,
 )
 
 __all__ = [
@@ -114,9 +112,7 @@ __all__ = [
     "collision_cone",
     "config_with_overrides",
     "fk",
-    "first_contact_time",
     "ik_phase",
-    "in_cone",
     "link_capsules",
     "load_scenario",
     "make_report",

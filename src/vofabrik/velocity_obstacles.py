@@ -1,12 +1,14 @@
 """Velocity obstacles for a spherical agent among fixed spherical obstacles.
 
 A collision cone is the set of agent velocities that lead to contact with
-one obstacle when the agent moves at constant velocity. Membership
-combines an angular test against the cone axis with a time-truncation
-test: only collisions that would actually occur within the configured
-horizon count. The truncation uses the exact first-contact time of the
-agent's ray against the combined sphere, not the axial-distance shortcut,
-so the admissible set has no false positives for off-axis velocities.
+one obstacle when the agent moves at constant velocity. A velocity is
+blocked when it lies inside a cone by the angular test and the exact time
+its ray first touches the combined sphere, not the axial-distance
+shortcut, is within the horizon, so the admissible set has no false
+positives for off-axis velocities. One private kernel, _blocked, decides
+this on Python float triples: admissible_velocity checks v_pref once and
+reads each cone into floats once, and every dot product goes through
+geometry's fma, as np.dot rounds it (tests/vo_reference.py).
 
 Velocity re-selection preserves speed: a deterministic Fibonacci sphere
 lattice is scanned for the admissible direction closest to the preferred
@@ -16,16 +18,17 @@ while staying admissible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DEGENERACY_THRESHOLD, as_length, as_vec3
+from .geometry import DEGENERACY_THRESHOLD, _dot, as_length, as_vec3
 
 _REST_SPEED = 1e-15  # m/s; a velocity slower than this never reaches an obstacle
 _REFINEMENT_STEPS = 60
-_BOUNDARY_EPSILON = 1e-3  # rad; in_cone's angular margin inside the cone surface
+_BOUNDARY_EPSILON = 1e-3  # rad; a cone blocks only velocities this far inside its surface
 _DIRECTION_SAMPLES = 256  # Fibonacci lattice directions scanned for a blocked v_pref
 
 
@@ -112,100 +115,100 @@ def collision_cone(agent_center, agent_radius: float, obstacle: SphereObstacle) 
     return CollisionCone(axis=offset / d, truncation_distance=d, combined_radius=combined)
 
 
-def first_contact_time(v, cone: CollisionCone) -> float:
-    """Exact time at which velocity v first touches the cone's sphere.
+def _floats(cone: CollisionCone):
+    # The cone as _blocked reads it: axis, obstacle center seen from the
+    # agent (axis * distance), distance**2 - combined**2 and angular limit
+    (x, y, z), d = cone.axis.tolist(), cone.truncation_distance
+    limit = cone.half_angle - _BOUNDARY_EPSILON
+    return (x, y, z), (x * d, y * d, z * d), d**2 - cone.combined_radius**2, limit
 
-    Solves ||t * v - d_vec|| = combined_radius for the smaller root;
-    returns +inf when the ray misses or recedes.
-    """
-    v = as_vec3(v, "velocity")
-    d_vec = cone.axis * cone.truncation_distance
-    a = float(np.dot(v, v))
-    if a < _REST_SPEED**2:
-        return math.inf
-    b = float(np.dot(v, d_vec))
+
+def _contact_time(v, a, center, c) -> float:
+    # Smaller root t of ||t v - center|| = combined radius, for v at least
+    # _REST_SPEED fast, a = v . v and c = center . center - combined**2;
+    # +inf when the ray misses or recedes
+    b = _dot(v, center)
     if b <= 0.0:
         return math.inf
-    c = cone.truncation_distance**2 - cone.combined_radius**2
     disc = b * b - a * c
     if disc < 0.0:
         return math.inf
     return (b - math.sqrt(disc)) / a
 
 
-def in_cone(v, cone: CollisionCone, cfg: VOConfig) -> bool:
-    """Whether velocity v leads to contact within the time horizon.
-
-    True iff v lies strictly inside the cone (angle to axis below
-    half_angle - _BOUNDARY_EPSILON) and the exact first-contact time is
-    within cfg.time_horizon.
-    """
-    v = as_vec3(v, "velocity")
-    speed = float(np.linalg.norm(v))
+def _blocked(v, cones, horizon: float) -> bool:
+    # Whether velocity v, at least _REST_SPEED fast, first touches the sphere
+    # of one of the _floats cones within the horizon at an angle to its
+    # axis below half_angle - _BOUNDARY_EPSILON
+    a = _dot(v, v)
+    speed = math.sqrt(a)
     if speed < _REST_SPEED:
         return False
-    cos_angle = float(np.dot(v, cone.axis)) / speed
-    angle = math.acos(min(max(cos_angle, -1.0), 1.0))
-    if angle >= cone.half_angle - _BOUNDARY_EPSILON:
-        return False
-    return first_contact_time(v, cone) <= cfg.time_horizon
+    for axis, center, c, limit in cones:
+        if _contact_time(v, a, center, c) <= horizon:
+            if math.acos(min(max(_dot(v, axis) / speed, -1.0), 1.0)) < limit:
+                return True
+    return False
 
 
-def _fibonacci_directions(n: int) -> np.ndarray:
-    """Deterministic unit-direction lattice, near-uniform on the sphere."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
+@functools.cache
+def _lattice():
+    # The Fibonacci lattice of unit directions, as an array and as float triples
+    i = np.arange(_DIRECTION_SAMPLES)
+    z = 1.0 - (2.0 * i + 1.0) / _DIRECTION_SAMPLES
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     theta = math.pi * (3.0 - math.sqrt(5.0)) * i
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-
-
-def _admissible(v: np.ndarray, cones, cfg: VOConfig) -> bool:
-    return not any(in_cone(v, cone, cfg) for cone in cones)
+    dirs = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    dirs.flags.writeable = False
+    return dirs, dirs.tolist()
 
 
 def admissible_velocity(v_pref, cones, cfg: VOConfig) -> np.ndarray:
     """Admissible velocity of the same speed closest in angle to v_pref.
 
-    Returns v_pref itself (the same array values, bit for bit) when it is
-    already outside every cone. Otherwise scans the direction lattice for
-    the admissible direction with the largest dot product to v_pref
-    (ties: lowest lattice index), then bisects the great-circle arc toward
-    v_pref, keeping the admissible endpoint.
+    A cone blocks a velocity at least _REST_SPEED fast whose angle to the
+    axis is below half_angle - _BOUNDARY_EPSILON and whose exact
+    first-contact time is within cfg.time_horizon. Returns v_pref itself
+    (the same array) when no cone blocks it. Otherwise scans the direction
+    lattice for the admissible direction with the largest dot product to
+    v_pref (ties: lowest lattice index), then bisects the great-circle arc
+    toward v_pref, keeping the admissible endpoint.
 
     Raises NoAdmissibleVelocity when every lattice direction is blocked.
     """
     v_pref = as_vec3(v_pref, "v_pref")
-    speed = float(np.linalg.norm(v_pref))
+    p = v_pref.tolist()
+    speed = math.sqrt(_dot(p, p))
     if not speed > 0.0:
         raise ValueError("v_pref must be nonzero")
-    if _admissible(v_pref, cones, cfg):
+    cones = [_floats(cone) for cone in cones]
+    horizon = cfg.time_horizon
+    if not _blocked(p, cones, horizon):
         return v_pref
 
-    u_pref = v_pref / speed
-    dirs = _fibonacci_directions(_DIRECTION_SAMPLES)
-    scores = dirs @ u_pref
-    best_index = -1
-    for idx in np.argsort(-scores, kind="stable"):
-        if _admissible(dirs[idx] * speed, cones, cfg):
-            best_index = int(idx)
+    def scaled(u):
+        return (u[0] * speed, u[1] * speed, u[2] * speed)
+
+    bad = (p[0] / speed, p[1] / speed, p[2] / speed)
+    dirs, triples = _lattice()
+    for idx in np.argsort(-(dirs @ np.array(bad)), kind="stable").tolist():
+        good = triples[idx]
+        if not _blocked(scaled(good), cones, horizon):
             break
-    if best_index < 0:
+    else:
         raise NoAdmissibleVelocity(f"all {_DIRECTION_SAMPLES} sampled directions are blocked")
 
     # Walk the arc between the best admissible direction and the preferred
     # one; the preferred end is blocked, so bisection converges onto the
     # admissible side of the nearest cone surface.
-    good = dirs[best_index]
-    bad = u_pref
     for _ in range(_REFINEMENT_STEPS):
-        mid = good + bad
-        norm = float(np.linalg.norm(mid))
+        mid = (good[0] + bad[0], good[1] + bad[1], good[2] + bad[2])
+        norm = math.sqrt(_dot(mid, mid))
         if norm < 1e-12:  # antipodal endpoints: arc midpoint undefined
             break
-        mid /= norm
-        if _admissible(mid * speed, cones, cfg):
-            good = mid
-        else:
+        mid = (mid[0] / norm, mid[1] / norm, mid[2] / norm)
+        if _blocked(scaled(mid), cones, horizon):
             bad = mid
-    return good * speed
+        else:
+            good = mid
+    return np.array(scaled(good))

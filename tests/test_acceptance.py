@@ -21,6 +21,7 @@ import pytest
 
 import geometry_reference
 import validator_reference
+import vo_reference
 from chooser_oracle import ChooserCase
 from clearance_oracle import scalar_min_clearance
 from vofabrik import (
@@ -37,7 +38,6 @@ from vofabrik import (
     capsule_capsule_distance,
     capsule_sphere_distance,
     collision_cone,
-    in_cone,
     link_capsules,
     load_scenario,
     make_report,
@@ -51,7 +51,7 @@ from vofabrik import (
     validate_trajectory,
 )
 from vofabrik.planner import _end_effector_velocity
-from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON
+from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON, _blocked, _floats
 
 UNLIMITED = JointLimits.unlimited()
 CAVITY_NAMES = ("cavity_19dof", "cavity_19dof_extended")
@@ -117,6 +117,29 @@ def shipped_runs(cavity_runs):
             plan(scenario.chain, scenario.initial_state(), scenario.goal, scenario.obstacles, scenario.planner),
         )
     return runs
+
+
+def filter_inputs(shipped_runs):
+    """(name, k, scenario, state, remaining, v_pref, cones) for every state
+    k of the shipped plans short of the goal: the velocity filter's input,
+    with one public collision_cone per obstacle, the tip sphere against the
+    obstacle inflated by the clearance margin (shrunk to half the gap when
+    the tip is close)."""
+    for name, (scenario, outcome) in shipped_runs.items():
+        model, goal, cfg = scenario.chain, scenario.goal, scenario.planner
+        ee_radius = float(model.thicknesses[-1])
+        for k, state in enumerate(outcome.trajectory):
+            tip = state.positions[-1]
+            remaining = float(np.linalg.norm(goal - tip))
+            if remaining <= cfg.goal_tolerance:
+                continue
+            v_pref = (cfg.v_pref_speed / remaining) * (goal - tip)
+            cones = []
+            for o in scenario.obstacles:
+                d = float(np.linalg.norm(o.center - tip))
+                margin = max(0.0, min(cfg.clearance_margin, 0.5 * (d - ee_radius - o.radius)))
+                cones.append(collision_cone(tip, ee_radius, SphereObstacle(o.center, o.radius + margin)))
+            yield name, k, scenario, state, remaining, v_pref, cones
 
 
 class TestAcceptance:
@@ -298,27 +321,28 @@ class TestAcceptance:
         inflated by the clearance margin, shrunk to half the gap when the
         tip is close (the step target that benchmarks/tracing.py replays)."""
         states = turned = 0
-        for name, (scenario, outcome) in shipped_runs.items():
-            model, goal, cfg = scenario.chain, scenario.goal, scenario.planner
-            ee_radius = float(model.thicknesses[-1])
-            for k, state in enumerate(outcome.trajectory):
-                tip = state.positions[-1]
-                remaining = float(np.linalg.norm(goal - tip))
-                if remaining <= cfg.goal_tolerance:
-                    continue
-                v_pref = (cfg.v_pref_speed / remaining) * (goal - tip)
-                cones = []
-                for o in scenario.obstacles:
-                    d = float(np.linalg.norm(o.center - tip))
-                    margin = max(0.0, min(cfg.clearance_margin, 0.5 * (d - ee_radius - o.radius)))
-                    cones.append(collision_cone(tip, ee_radius, SphereObstacle(o.center, o.radius + margin)))
-                want = admissible_velocity(v_pref, cones, cfg.vo)
-                got = _end_effector_velocity(model, state, goal, scenario.obstacles, cfg, remaining)
-                assert np.array_equal(got, want), (name, k)
-                states += 1
-                turned += not np.array_equal(want, v_pref)
+        for name, k, scenario, state, remaining, v_pref, cones in filter_inputs(shipped_runs):
+            cfg = scenario.planner
+            want = admissible_velocity(v_pref, cones, cfg.vo)
+            got = _end_effector_velocity(scenario.chain, state, scenario.goal, scenario.obstacles, cfg, remaining)
+            assert np.array_equal(got, want), (name, k)
+            states += 1
+            turned += not np.array_equal(want, v_pref)
         assert turned > 0
         print(f"filter cones PASS - == the public collision_cone on {states} shipped states, {turned} turned")
+
+    def test_filter_matches_frozen_reference_on_shipped_plans(self, shipped_runs):
+        """On every shipped state short of the goal, admissible_velocity
+        returns the same velocity (array_equal) as the frozen numpy filter
+        in tests/vo_reference.py, turned steps included."""
+        states = turned = 0
+        for name, k, scenario, _, _, v_pref, cones in filter_inputs(shipped_runs):
+            got = admissible_velocity(v_pref, cones, scenario.planner.vo)
+            assert np.array_equal(got, vo_reference.admissible_velocity(v_pref, cones, scenario.planner.vo)), (name, k)
+            states += 1
+            turned += got is not v_pref
+        assert states >= 130 and turned > 0, (states, turned)
+        print(f"frozen filter PASS - == the numpy reference on {states} shipped states, {turned} turned")
 
     def test_criterion_5_reduces_to_plain_fabrik_without_obstacles(self):
         """No obstacles + unlimited joints: both solvers emit bit-identical states."""
@@ -382,7 +406,8 @@ class TestAcceptance:
         )
 
     def test_criterion_7_cone_test_matches_forward_simulation(self):
-        """in_cone agrees with a simulated-collision oracle on 1000 random pairs."""
+        """The velocity filter's kernel, _blocked, agrees with a
+        simulated-collision oracle on 1000 random pairs."""
         cfg = VOConfig()
         sim_steps = 2048
         dt = cfg.time_horizon / sim_steps
@@ -410,7 +435,7 @@ class TestAcceptance:
             else:
                 velocity = rng.normal(size=3) * rng.uniform(0.1, 1.5)
 
-            predicted = in_cone(velocity, cone, cfg)
+            predicted = _blocked(velocity.tolist(), [_floats(cone)], cfg.time_horizon)
             path = agent_center + np.outer(ts, velocity) - obstacle.center
             closest = float(np.min(np.linalg.norm(path, axis=1)))
             actual = closest <= agent_radius + obstacle_radius

@@ -220,6 +220,35 @@ def test_chooser_visit_path_uses_no_numpy():
     assert {"self._touch_spheres", "self._cell_tests", "self._nearest_safe", "_hit", "clamp_to_limits", "fma"} <= reached
 
 
+def test_velocity_filter_checks_each_value_once():
+    """The velocity filter checks v_pref once and runs one kernel in plain
+    floats: _blocked, the _floats reading of each cone, and every package
+    function they reach name no np attribute and call no as_vec3 or
+    as_length; admissible_velocity calls as_vec3 once and as_length never."""
+    functions = {}
+    for module in ("velocity_obstacles", "geometry"):
+        tree = ast.parse((ROOT / "src" / "vofabrik" / f"{module}.py").read_text())
+        functions.update({n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)})
+
+    def calls(node):
+        return [getattr(n.func, "id", None) for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+    reached, todo = set(), ["_blocked", "_floats"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        nodes = list(ast.walk(functions[name]))
+        np_names = {n.attr for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "np"}
+        assert not np_names, (name, sorted(np_names))
+        assert not {"as_vec3", "as_length"} & set(calls(functions[name])), name
+        used = {n.id for n in nodes if isinstance(n, ast.Name)}
+        todo.extend(sorted((used & functions.keys()) - reached))
+    assert {"_blocked", "_floats", "_contact_time", "_dot", "fma"} <= reached
+    filter_calls = calls(functions["admissible_velocity"])
+    assert filter_calls.count("as_vec3") == 1 and "as_length" not in filter_calls
+    assert "_blocked" in filter_calls
+
+
 def test_min_clearance_has_one_row_arithmetic():
     """min_clearance and every planner function it reaches name no einsum,
     clip or linalg: their point-segment rows all run through one kernel,
@@ -258,6 +287,21 @@ def test_one_vector_check():
                 if node.attr in ("isfinite", "errstate"):
                     uses.add((node.attr, f"{path.stem}.{owner.get(node, '<module>')}"))
     assert sorted(uses) == [("isfinite", "chain.validate"), ("isfinite", "harness.validate_trajectory")]
+
+
+def test_demos_import_only_public_names():
+    """Every name a demo imports from vofabrik is in vofabrik.__all__, and
+    it imports no private name from a vofabrik module, so a demo shows
+    the public API and cannot lean on internals."""
+    imported = []
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vofabrik":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert any(module == "vofabrik" for _, module, _ in imported)
+    private = [entry for entry in imported if entry[2].startswith("_")]
+    unexported = [entry for entry in imported if entry[1] == "vofabrik" and entry[2] not in vofabrik.__all__]
+    assert private == [] and unexported == []
 
 
 # 04 plans the full cavity scenario (about 10 s); the acceptance tests

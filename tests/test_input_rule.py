@@ -17,8 +17,6 @@ from vofabrik import (
     admissible_velocity,
     capsule_sphere_distance,
     collision_cone,
-    first_contact_time,
-    in_cone,
     plan,
     solve,
     state_from_angles,
@@ -51,8 +49,6 @@ VECTOR_ENTRIES = {
     "SphereObstacle.velocity": lambda v: SphereObstacle((0.0, 2.0, 0.0), 0.5, v),
     "CollisionCone.axis": lambda v: CollisionCone(v, 2.0, 0.6),
     "collision_cone.agent_center": lambda v: collision_cone(v, 0.1, OBSTACLE),
-    "first_contact_time.v": lambda v: first_contact_time(v, CONE),
-    "in_cone.v": lambda v: in_cone(v, CONE, VOConfig()),
     "admissible_velocity.v_pref": lambda v: admissible_velocity(v, [CONE], VOConfig()),
     "ChainModel.base": lambda v: chain(base=v),
     "ChainModel.base_direction": lambda v: chain(direction=v),

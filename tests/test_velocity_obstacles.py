@@ -2,8 +2,8 @@
 
 The ground truth for cone membership is a time-stepped forward
 simulation: move the agent at constant velocity past the fixed obstacle,
-flag any sphere overlap within the horizon. in_cone must agree except
-within the membership tolerance of the cone surface.
+flag any sphere overlap within the horizon. The filter's kernel, _blocked,
+must agree except within the membership tolerance of the cone surface.
 """
 
 import math
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vo_reference
 from vofabrik.velocity_obstacles import (
     AlreadyInCollision,
     CollisionCone,
@@ -21,10 +22,15 @@ from vofabrik.velocity_obstacles import (
     VOConfig,
     admissible_velocity,
     collision_cone,
-    first_contact_time,
-    in_cone,
 )
-from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON
+from vofabrik.velocity_obstacles import (
+    _BOUNDARY_EPSILON,
+    _REST_SPEED,
+    _blocked,
+    _contact_time,
+    _floats,
+    _lattice,
+)
 
 ORIGIN = np.zeros(3)
 
@@ -35,6 +41,17 @@ def simulated_collision(agent_center, agent_radius, obstacle, v, horizon, steps=
     agent = np.asarray(agent_center)[None, :] + t[:, None] * np.asarray(v)[None, :]
     gap = np.linalg.norm(agent - obstacle.center[None, :], axis=1)
     return bool(np.any(gap <= agent_radius + obstacle.radius))
+
+
+def blocked(v, cone, cfg):
+    """The filter's own membership test: whether cone blocks velocity v."""
+    return _blocked(np.asarray(v, dtype=float).tolist(), [_floats(cone)], cfg.time_horizon)
+
+
+def enclosing_cones():
+    """Six cones that leave an agent at the origin no direction to move in."""
+    obstacles = [SphereObstacle(center=(0.5 * s * np.eye(3)[k]), radius=0.4) for k in range(3) for s in (+1.0, -1.0)]
+    return [collision_cone(ORIGIN, 0.05, o) for o in obstacles]
 
 
 def angle_to_axis(v, cone):
@@ -124,20 +141,21 @@ class TestInCone:
 
     def test_center_ray_fast_enough(self):
         # speed * horizon = 2.0 >= d - combined = 1.6
-        assert in_cone(np.array([1.0, 0.0, 0.0]), self.cone(), self.CFG)
+        assert blocked(np.array([1.0, 0.0, 0.0]), self.cone(), self.CFG)
 
     def test_center_ray_too_slow(self):
         # speed * horizon = 1.0 < 1.6: never reaches within the horizon
-        assert not in_cone(np.array([0.5, 0.0, 0.0]), self.cone(), self.CFG)
+        assert not blocked(np.array([0.5, 0.0, 0.0]), self.cone(), self.CFG)
 
     def test_perpendicular_velocity_misses(self):
-        assert not in_cone(np.array([0.0, 3.0, 0.0]), self.cone(), self.CFG)
+        assert not blocked(np.array([0.0, 3.0, 0.0]), self.cone(), self.CFG)
 
     def test_zero_velocity_never_collides(self):
-        assert not in_cone(np.zeros(3), self.cone(), self.CFG)
+        assert not blocked(np.zeros(3), self.cone(), self.CFG)
 
     def test_first_contact_time_on_axis(self):
-        t = first_contact_time(np.array([1.0, 0.0, 0.0]), self.cone())
+        _, center, c, _ = _floats(self.cone())
+        t = _contact_time([1.0, 0.0, 0.0], 1.0, center, c)
         assert t == pytest.approx(1.6, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -154,7 +172,7 @@ class TestInCone:
         cfg = self.CFG
         for _ in range(20):
             v = rng.normal(size=3) * rng.uniform(0.1, 2.0)
-            member = in_cone(v, cone, cfg)
+            member = blocked(v, cone, cfg)
             collides = simulated_collision(
                 ORIGIN, agent_r, obs, v, cfg.time_horizon, steps=4000
             )
@@ -187,20 +205,14 @@ class TestAdmissibleVelocity:
         v_pref = np.array([0.5, 0.0, 0.0])
         out = admissible_velocity(v_pref, [cone], self.CFG)
         assert np.linalg.norm(out) == pytest.approx(0.5, abs=1e-12)
-        assert not in_cone(out, cone, self.CFG)
+        assert not blocked(out, cone, self.CFG)
         # sits just outside the membership boundary
         margin = _BOUNDARY_EPSILON
         assert abs(angle_to_axis(out, cone) - (cone.half_angle - margin)) < 1e-6
 
     def test_fully_enclosed_raises(self):
-        obstacles = [
-            SphereObstacle(center=(0.5 * s * np.eye(3)[k]), radius=0.4)
-            for k in range(3)
-            for s in (+1.0, -1.0)
-        ]
-        cones = [collision_cone(ORIGIN, 0.05, o) for o in obstacles]
         with pytest.raises(NoAdmissibleVelocity):
-            admissible_velocity(np.array([1.0, 0.0, 0.0]), cones, self.CFG)
+            admissible_velocity(np.array([1.0, 0.0, 0.0]), enclosing_cones(), self.CFG)
 
     def test_zero_vpref_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -226,7 +238,23 @@ class TestAdmissibleVelocity:
             return
         assert abs(np.linalg.norm(out) - np.linalg.norm(v_pref)) < 1e-12
         for cone in cones:
-            assert not in_cone(out, cone, self.CFG)
+            assert not blocked(out, cone, self.CFG)
+
+    def test_one_shot_cones_filtered_as_a_list(self):
+        # a generator of cones is read once: every candidate velocity is
+        # tested against all three cones, not only those left unread
+        obstacles = [
+            SphereObstacle(center=(0.5, 0.0, 0.0), radius=0.15),
+            SphereObstacle(center=(0.45, 0.3, 0.0), radius=0.15),
+            SphereObstacle(center=(0.45, -0.3, 0.0), radius=0.15),
+        ]
+        cones = [collision_cone(ORIGIN, 0.05, o) for o in obstacles]
+        v_pref = np.array([1.0, 0.0, 0.0])
+        want = admissible_velocity(v_pref, cones, self.CFG)
+        got = admissible_velocity(v_pref, (cone for cone in cones), self.CFG)
+        assert np.array_equal(got, want)
+        assert not any(blocked(got, cone, self.CFG) for cone in cones)
+        np.testing.assert_allclose(want, [0.917, 0.154, 0.368], atol=1e-3)
 
     def test_deterministic_across_calls(self):
         cone = collision_cone(
@@ -236,3 +264,88 @@ class TestAdmissibleVelocity:
         a = admissible_velocity(v, [cone], self.CFG)
         b = admissible_velocity(v.copy(), [cone], self.CFG)
         assert a.tobytes() == b.tobytes()
+
+
+def filtered(v_pref, cones, cfg, filter_fn):
+    """filter_fn's velocity, or the exception class it raised."""
+    try:
+        return filter_fn(v_pref, cones, cfg)
+    except NoAdmissibleVelocity as e:
+        return type(e)
+
+
+def random_cones(rng, count):
+    cones = []
+    for _ in range(count):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        d = rng.uniform(0.3, 2.0)
+        obs = SphereObstacle(center=d * axis, radius=rng.uniform(0.05, 0.9 * d - 0.05))
+        cones.append(collision_cone(ORIGIN, 0.05, obs))
+    return cones
+
+
+class TestFrozenReference:
+    """The float filter against the frozen numpy filter in vo_reference."""
+
+    def assert_same(self, v_pref, cones, cfg):
+        got = filtered(v_pref, cones, cfg, admissible_velocity)
+        want = filtered(v_pref, cones, cfg, vo_reference.admissible_velocity)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            return "kept" if got is v_pref else "turned"
+        assert got is want
+        return "none"
+
+    def test_kernel_matches_reference_on_random_pairs(self):
+        # velocities aimed near each cone's surface and horizon, random ones,
+        # and ones slower than _REST_SPEED
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for _ in range(4000):
+            (cone,) = random_cones(rng, 1)
+            cfg = VOConfig(time_horizon=float(rng.uniform(0.2, 6.0)))
+            aim = cone.axis + rng.normal(size=3) * rng.uniform(0.0, 1.5 * cone.half_angle)
+            v = aim / np.linalg.norm(aim) * rng.uniform(0.01, 3.0)
+            if rng.random() < 0.2:
+                v = rng.normal(size=3) * 10.0 ** rng.uniform(-17.0, 0.5)
+            member = blocked(v, cone, cfg)
+            assert member == vo_reference.in_cone(v, cone, cfg)
+            outcomes.add(member)
+            a = float(np.dot(v, v))
+            if math.sqrt(a) >= _REST_SPEED:
+                _, center, c, _ = _floats(cone)
+                assert _contact_time(v.tolist(), a, center, c) == vo_reference.first_contact_time(v, cone)
+        assert outcomes == {False, True}
+
+    def test_filter_matches_reference_on_seeded_cone_sets(self):
+        counts = {"kept": 0, "turned": 0, "none": 0}
+        # every 50th set is walled in on six sides, every 100th (offset 1)
+        # prefers a velocity slower than _REST_SPEED
+        enclosed = enclosing_cones()
+        for seed in range(3000):
+            rng = np.random.default_rng(seed)
+            cfg = VOConfig(time_horizon=float(rng.uniform(0.2, 6.0)))
+            cones = random_cones(rng, int(rng.integers(1, 7)))
+            if seed % 50 == 0:
+                cones = enclosed + cones
+            v_pref = rng.normal(size=3) * rng.uniform(0.1, 3.0)
+            if seed % 100 == 1:
+                v_pref *= 0.5 * _REST_SPEED / np.linalg.norm(v_pref)
+            counts[self.assert_same(v_pref, cones, cfg)] += 1
+        assert min(counts.values()) >= 50, counts
+
+    @pytest.mark.parametrize("j", [0, 100, 255])
+    def test_antipodal_bisection_endpoints(self, j):
+        # every lattice direction but j is blocked on its cone's axis and the
+        # preferred velocity points away from direction j, so the scan ends
+        # on j and the first arc midpoint is undefined
+        dirs, _ = _lattice()
+        cones = [
+            collision_cone(ORIGIN, 0.05, SphereObstacle(0.5 * u, 0.01))
+            for u in [*np.delete(dirs, j, axis=0), -dirs[j]]
+        ]
+        v_pref = -1.5 * dirs[j]
+        cfg = VOConfig(time_horizon=5.0)
+        assert self.assert_same(v_pref, cones, cfg) == "turned"
+        assert np.array_equal(admissible_velocity(v_pref, cones, cfg), dirs[j] * float(np.linalg.norm(v_pref)))
