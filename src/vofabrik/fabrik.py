@@ -172,6 +172,7 @@ def solve(
 ) -> SolveOutcome:
     """Drive the end effector to the target, keeping limits at every step.
 
+    The state must pass ChainState.validate (else InconsistentPositions).
     Out-of-reach targets run exactly one stretch iteration and come back
     with status INFEASIBLE and the best stretched state. A chooser may
     raise SafeSetEmpty: the solve then ends BLOCKED with its last completed
@@ -179,6 +180,13 @@ def solve(
     if given, is called with (iteration, backward_positions, state) after
     every full iteration — used by tests to watch per-iteration invariants.
     """
+    state.validate(model)
+    return _solve(model, state, target, cfg, choose_angles, on_iteration)
+
+
+def _solve(model, state, target, cfg, choose_angles, on_iteration=None):
+    """solve on a state known to be valid: plan's start, which plan
+    validates, or a state an earlier solve returned."""
     cfg = cfg or FabrikConfig()
     chooser = choose_angles or _default_chooser
     # ChainModel keeps the chain's reach within COORDINATE_RANGE, as_vec3 the target

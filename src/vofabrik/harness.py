@@ -448,7 +448,8 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
     list is == the one from querying every pair, in the same order with
     the same value bits (tests/validator_reference.py).
     """
-    centers = [as_vec3(o.center, "obstacle center").tolist() for o in obstacles]
+    # each obstacle read once, so a one-shot iterable is checked in full
+    spheres = [(as_vec3(o.center, "obstacle center").tolist(), o.radius) for o in obstacles]
     out = []
     for i in range(trajectory.steps.shape[0]):
         step = int(trajectory.steps[i])
@@ -481,13 +482,14 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
                     deviation,
                 )
             )
-        out.extend(_clearance_violations(model, positions, obstacles, centers, step))
+        out.extend(_clearance_violations(model, positions, spheres, step))
     return out
 
 
-def _clearance_violations(model, positions, obstacles, centers, step):
+def _clearance_violations(model, positions, spheres, step):
     """Obstacle and self-collision checks for one state, as capsules of the
-    links' thicknesses; centers are the obstacles' centers as float triples.
+    links' thicknesses; spheres are the obstacles as (center float triple,
+    radius).
 
     Every link is checked first, in plain floats, as Segment3 checks it.
     A pair skips the exact query when its bounding balls provably cannot
@@ -513,17 +515,17 @@ def _clearance_violations(model, positions, obstacles, centers, step):
     out = []
     for k, (mx, my, mz, rk) in enumerate(balls):
         near = []
-        for j, ((cx, cy, cz), obstacle) in enumerate(zip(centers, obstacles)):
+        for j, ((cx, cy, cz), radius) in enumerate(spheres):
             dx, dy, dz = cx - mx, cy - my, cz - mz
-            bound = _loosen(rk + obstacle.radius, scale)
+            bound = _loosen(rk + radius, scale)
             if dx * dx + dy * dy + dz * dz > bound * bound:
                 continue
             near.append(j)
         if not near:
             continue
-        gaps = _segment_point_distances(p[k], p[k + 1], [centers[j] for j in near])
+        gaps = _segment_point_distances(p[k], p[k + 1], [spheres[j][0] for j in near])
         for j, gap in zip(near, gaps):
-            clearance = gap - thickness[k] - obstacles[j].radius
+            clearance = gap - thickness[k] - spheres[j][1]
             if clearance <= 0.0:
                 out.append(
                     Violation(

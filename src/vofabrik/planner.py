@@ -64,6 +64,7 @@ from .fabrik import (
     Phase,
     SafeSetEmpty,
     SolveOutcome,
+    _solve,
     clamp_to_limits,
     solve as fabrik_solve,
 )
@@ -480,6 +481,7 @@ def min_clearance(model: ChainModel, positions, obstacles) -> float:
     DegenerateSegment, as the scalar segments do.
     """
     n = model.n_links
+    obstacles = list(obstacles)  # read once, so a one-shot iterable works
     p = np.asarray(positions, dtype=float)
     if p.shape != (n + 1, 3):
         raise ValueError(f"expected {n + 1} joint positions of 3 coordinates, got shape {p.shape}")
@@ -551,7 +553,9 @@ def plan(
     solve of 0 iterations (blocked at once, or converged on a target
     within epsilon) returns its start state, so every later step would
     repeat it bit for bit: its step is recorded and, short of the goal,
-    the plan ends STALLED.
+    the plan ends STALLED. The initial state is validated once, here;
+    each step solves from a state a solve returned, so no step checks it
+    again.
     """
     if solver not in ("vofabrik", "fabrik"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -586,7 +590,7 @@ def plan(
                 v = _end_effector_velocity(model, state, goal, avoided, cfg, remaining)
                 speed = float(np.linalg.norm(v))
                 target = state.positions[-1] + v * min(cfg.t_s, remaining / speed)
-            outcome = fabrik_solve(model, state, target, cfg.ik, choose_angles=chooser)
+            outcome = _solve(model, state, target, cfg.ik, choose_angles=chooser)
         except NoAdmissibleVelocity:
             status = PlanStatus.NO_ADMISSIBLE_VELOCITY
             break

@@ -152,9 +152,10 @@ def test_validator_checks_each_link_once():
 
 
 def test_a_blocked_visit_ends_only_the_solve():
-    """SafeSetEmpty is caught in one place, fabrik.solve, which ends the
-    solve BLOCKED: no other handler in the package, the planner's
-    included, names it, so it never reaches ik_phase or plan."""
+    """SafeSetEmpty is caught in one place, fabrik._solve (the sweep loop
+    under solve), which ends the solve BLOCKED: no other handler in the
+    package, the planner's included, names it, so it never reaches
+    ik_phase or plan."""
     catchers = []
     for path in sorted((ROOT / "src" / "vofabrik").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -166,7 +167,7 @@ def test_a_blocked_visit_ends_only_the_solve():
         for node in ast.walk(tree):
             if isinstance(node, ast.ExceptHandler) and node.type and "SafeSetEmpty" in ast.dump(node.type):
                 catchers.append((path.stem, owner.get(node, "<module>")))
-    assert catchers == [("fabrik", "solve")]
+    assert catchers == [("fabrik", "_solve")]
 
 
 def test_obstacles_are_static_everywhere():
@@ -287,6 +288,59 @@ def test_one_vector_check():
                 if node.attr in ("isfinite", "errstate"):
                     uses.add((node.attr, f"{path.stem}.{owner.get(node, '<module>')}"))
     assert sorted(uses) == [("isfinite", "chain.validate"), ("isfinite", "harness.validate_trajectory")]
+
+
+def test_every_test_helper_has_a_user():
+    """No dead reference code: every top-level function or class of a
+    helper module under tests/ (one not named test_*.py) is named in a
+    test_*.py file, or in a helper definition that is itself so named; and
+    every method of such a class is a dunder or is named as an attribute
+    there. A frozen reference that nothing calls any more checks nothing,
+    and keeping it costs a reader its lines."""
+
+    names, attrs = set(), set()
+
+    def use(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.alias):
+                names.add(n.name)
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+
+    helpers = {}  # (module, class or None, name) -> definition
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name.startswith("test_"):
+            use(tree)
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                helpers[path.stem, None, node.name] = node
+            if isinstance(node, ast.ClassDef):
+                helpers.update({(path.stem, node.name, m.name): m for m in node.body if isinstance(m, ast.FunctionDef)})
+
+    def reached(module, owner, name):
+        if owner is None:
+            # named directly, or as an attribute of its module
+            return name in names or name in attrs
+        return reached(module, None, owner) and (name.startswith("__") or name in attrs)
+
+    done = set()
+    while todo := [key for key in helpers if key not in done and reached(*key)]:
+        for key in todo:
+            done.add(key)
+            node = helpers[key]
+            if isinstance(node, ast.FunctionDef):
+                use(node)
+                continue
+            # a class's methods count once they are reached themselves
+            for part in node.body:
+                if not isinstance(part, ast.FunctionDef):
+                    use(part)
+    assert [".".join(filter(None, key)) for key in helpers if key not in done] == []
+    assert {("chooser_reference", "ReferenceChooser", "pick"), ("validator_reference", None, "bits")} <= done
 
 
 def test_demos_import_only_public_names():

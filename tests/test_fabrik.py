@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import fabrik_reference
 import vofabrik.fabrik
-from vofabrik.chain import ChainModel, JointLimits, state_from_angles
+from vofabrik.chain import ChainModel, ChainState, InconsistentPositions, JointLimits, state_from_angles
 from vofabrik.fabrik import FabrikConfig, Phase, SafeSetEmpty, SolveOutcome, SolveStatus, clamp_to_limits, solve
 from vofabrik.geometry import COORDINATE_RANGE
-from vofabrik.planner import ConeConstraints, PlannerConfig
+from vofabrik.planner import ConeConstraints, PlannerConfig, ik_phase
 from vofabrik.velocity_obstacles import SphereObstacle
 
 UNLIMITED = JointLimits.unlimited()
@@ -48,6 +48,32 @@ def distance_to_elbow_circle(p1, target, a, b):
 
 
 class TestSolve:
+    @pytest.mark.parametrize("kind", ["nan_positions", "nan_angles", "short_positions"])
+    def test_unchecked_state_raises_before_any_sweep(self, kind):
+        # unchecked, NaN ran the whole budget to a NaN state and a short
+        # position array raised IndexError mid-sweep; ik_phase solves
+        # through solve, so it raises as well
+        model = chain(4, length=0.5)
+        state = state_from_angles(model, np.full((4, 2), 0.1))
+        if kind == "nan_positions":
+            state.positions[2, 1] = np.nan
+        elif kind == "nan_angles":
+            state.angles[1, 0] = np.nan
+        else:
+            state = ChainState(state.positions[:-1], state.angles)
+        swept = []
+
+        def chooser(phase, positions):
+            swept.append(phase)
+            return lambda joint, desired, limits, frame, pivot: (desired.pitch, desired.yaw)
+
+        target = (1.0, 0.5, 0.2)
+        with pytest.raises(InconsistentPositions):
+            solve(model, state, target, choose_angles=chooser)
+        assert swept == []
+        with pytest.raises(InconsistentPositions):
+            ik_phase(model, state, target, [SphereObstacle((1.0, 1.0, 0.0), 0.1)], PlannerConfig())
+
     def test_target_already_reached(self):
         model = chain(3)
         state = state_from_angles(model, np.zeros((3, 2)))

@@ -540,6 +540,18 @@ class TestValidateTrajectory:
             capsule = link_capsules(model, state)[k]
             assert v.value == capsule_sphere_distance(capsule, obstacles[j].center, obstacles[j].radius)
 
+    def test_obstacles_given_as_a_one_shot_iterable_are_all_checked(self):
+        # a sphere on link 1 of planar_3link's initial state; read twice,
+        # a generator once left every obstacle pair unchecked
+        scenario = load_scenario(scenario_path("planar_3link"))
+        model, state = scenario.chain, scenario.initial_state()
+        record = self.record_for(model, [state.angles])
+        obstacles = [SphereObstacle(0.5 * (state.positions[1] + state.positions[2]), 0.02)]
+        want = validate_trajectory(model, record, obstacles)
+        assert [v.kind for v in want] == ["obstacle_clearance"]
+        assert validate_trajectory(model, record, iter(obstacles)) == want
+        assert validate_trajectory(model, record, (o for o in obstacles)) == want
+
     def test_rigid_link_violation_when_ee_edited(self):
         model = self.planar_model()
         record = self.record_for(model, [np.zeros((3, 2))])
@@ -651,7 +663,7 @@ class TestBoundingBallReject:
 
     def check(self, model, positions, obstacles, step=0):
         centers = [o.center.tolist() for o in obstacles]
-        got = _clearance_violations(model, positions, obstacles, centers, step)
+        got = _clearance_violations(model, positions, [(c, o.radius) for c, o in zip(centers, obstacles)], step)
         want = reference.clearance_violations(model, positions, np.zeros((model.n_links, 2)), obstacles, centers, step)
         assert got == want and reference.bits(got) == reference.bits(want)
         return got
@@ -718,7 +730,7 @@ class TestBoundingBallReject:
             with pytest.raises(ValueError) as want:
                 reference.clearance_violations(model, positions, np.zeros((4, 2)), obstacles, centers, 0)
             with pytest.raises(ValueError) as got:
-                _clearance_violations(model, positions, obstacles, centers, 0)
+                _clearance_violations(model, positions, [(c, o.radius) for c, o in zip(centers, obstacles)], 0)
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     @pytest.mark.parametrize("length", [0.0, 5e-13, 1.5e-12])
@@ -736,7 +748,7 @@ class TestBoundingBallReject:
             with pytest.raises(DegenerateSegment, match="coincide"):
                 reference.clearance_violations(model, positions, np.zeros((4, 2)), [], [], 0)
             with pytest.raises(DegenerateSegment, match="coincide"):
-                _clearance_violations(model, positions, [], [], 0)
+                _clearance_violations(model, positions, [], 0)
         else:
             assert self.check(model, positions, []) == []
 

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 import vofabrik.geometry
 import vofabrik.planner
 from chooser_oracle import ChooserCase, link_directions
-from chooser_reference import MaskChooser, ReferenceNarrowPhase, cell_d2
+from chooser_reference import ReferenceChooser, cell_d2
 from clearance_oracle import scalar_min_clearance
 from vofabrik.chain import (
     ChainModel,
+    ChainState,
     JointAngles,
     JointLimits,
     LinkSpec,
@@ -452,6 +453,18 @@ class TestIkPhase:
 
 
 class TestPlan:
+    def test_a_plan_validates_its_start_once(self, monkeypatch):
+        # each step solves from a state a solve returned, so a plan checks
+        # only its start, however many steps it takes
+        sc = load_scenario(scenario_path("planar_3link"))
+        calls = []
+        validate = ChainState.validate
+        monkeypatch.setattr(ChainState, "validate", lambda state, model: calls.append(validate(state, model)))
+        for max_steps in (1, 5):
+            calls.clear()
+            out = plan(sc.chain, sc.initial_state(), sc.goal, sc.obstacles, dataclasses.replace(sc.planner, max_steps=max_steps))
+            assert len(out.per_step_metrics) == max_steps and len(calls) == 1
+
     def test_reaches_goal_in_open_space(self):
         model = make_chain(6)
         state = state_from_angles(model, np.zeros((6, 2)))
@@ -753,6 +766,16 @@ class TestMinClearance:
         got = min_clearance(model, state.positions, [])
         assert got == pytest.approx(0.1 - 0.02, abs=1e-9)
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_obstacles_given_as_a_one_shot_iterable(self, count):
+        # read twice, a generator raised from inside numpy: ValueError
+        # with obstacles, IndexError with none
+        model = make_chain(3, length=0.1, thickness=0.01)
+        state = state_from_angles(model, np.zeros((3, 2)))
+        obstacles = [SphereObstacle(np.array([0.05 * k, 0.1, 0.0]), 0.04) for k in range(count)]
+        want = min_clearance(model, state.positions, obstacles)
+        assert min_clearance(model, state.positions, (o for o in obstacles)) == want
+
     def test_batched_kernel_equals_scalar_on_random_chains(self):
         # every non-adjacent pair alone as links 0 and 2 of a three-link
         # polyline, then each whole chain with obstacles, compared with ==;
@@ -988,19 +1011,28 @@ def in_safe_cell(chooser, joint, pick, tests):
     )
 
 
+def beside_forbidden_box(grids, hits, pick):
+    """Whether the pick lies on the edge of the forbidden cells' bounding
+    box or beyond it."""
+    (pe, _), (ye, _) = grids
+    union = np.logical_or.reduce(hits)
+    rows, cols = np.flatnonzero(union.any(axis=1)), np.flatnonzero(union.any(axis=0))
+    return not (pe[rows[0]] < pick[0] < pe[rows[-1] + 1] and ye[cols[0]] < pick[1] < ye[cols[-1] + 1])
+
+
 class CheckedChooser(ConeConstraints):
     """The planner's chooser, checking on every visit against the frozen
     numpy reference in chooser_reference: the same spheres (==), the same
     inputs to each sphere's cell test (==), each sphere's cells marked
     through the planner's cell test equal to the reference's (array_equal)
     on the cells of cells_to_compare, and the same pick (==) as the
-    reference's union-box search, with SafeSetEmpty in the same cases."""
+    reference's dense search, with SafeSetEmpty in the same cases."""
 
     visits = rejected = rasterized = outside = 0
 
     def __init__(self, model, obstacles, cfg):
         super().__init__(model, obstacles, cfg)
-        self.reference = ReferenceNarrowPhase(model, obstacles, cfg)
+        self.reference = ReferenceChooser(model, obstacles, cfg)
 
     def __call__(self, phase, positions):
         self.reference.enter_sweep(positions)
@@ -1023,10 +1055,8 @@ class CheckedChooser(ConeConstraints):
         return spheres
 
     def _cell_tests(self, joint, frame, pivot, spheres):
-        centers = np.array([s[:3] for s in spheres])
-        touch = np.array([s[3] for s in spheres])
         want_tests = []
-        self.expected = self.reference.rasterize(joint, frame, np.asarray(pivot), centers, touch, want_tests)
+        self.expected = self.reference.rasterize(joint, frame, np.asarray(pivot), spheres, want_tests)
         type(self).rasterized += 1
         try:
             tests = super()._cell_tests(joint, frame, pivot, spheres)
@@ -1048,15 +1078,15 @@ class CheckedChooser(ConeConstraints):
         return tests
 
     def _nearest_safe(self, joint, limits, desired, tests):
-        try:
-            *want, outside = self.reference.nearest_safe(joint, limits, desired, self.expected)
-        except SafeSetEmpty:
+        want = self.reference.pick(joint, desired, limits, self.expected)
+        if want is None:
             with pytest.raises(SafeSetEmpty):
                 super()._nearest_safe(joint, limits, desired, tests)
-            raise
+            raise SafeSetEmpty()
         got = super()._nearest_safe(joint, limits, desired, tests)
         assert got == tuple(want), (joint, desired)
-        type(self).outside += outside
+        if got != clamp_to_limits(desired.pitch, desired.yaw, limits):
+            type(self).outside += beside_forbidden_box(self.reference.grids[joint], self.expected, got)
         return got
 
 
@@ -1082,8 +1112,9 @@ class TestBroadPhaseReject:
         if name == "cavity_19dof_extended":
             assert share > 0.5
         if name == "planar_2link":
-            # the picks the reference found outside its union box, which
-            # the lazy search must find as well
+            # searched picks on the edge of the forbidden cells' bounding
+            # box or beyond it, where the lazy search must leave the run
+            # of forbidden cells it starts in
             assert CheckedChooser.outside > 0
 
     @pytest.mark.parametrize("thickness", [0.01, [0.0, 0.01, 0.01, 0.01, 0.01, 0.01]])
@@ -1117,6 +1148,27 @@ class TestBroadPhaseReject:
         self.run_checked(monkeypatch, model, state, goal, obstacles, PlannerConfig(max_steps=4))
         assert CheckedChooser.rasterized > 0
 
+    def test_tied_picks_break_on_pitch_then_yaw(self, monkeypatch):
+        # the first link on a grid of exact quarter-radian cells and a
+        # sphere dead ahead: its forbidden cells are symmetric about the
+        # desired angles (0, 0), so the nearest safe points, (+-0.25, 0)
+        # and (0, +-0.25), tie four ways
+        for counter in ("visits", "rejected", "rasterized", "outside"):
+            monkeypatch.setattr(CheckedChooser, counter, 0)
+        model = ChainModel(
+            base=np.zeros(3),
+            base_direction=np.array([1.0, 0.0, 0.0]),
+            links=[LinkSpec(0.1, 0.0)] * 2,
+            limits=[JointLimits.symmetric(1.0, 1.0)] * 2,
+        )
+        cfg = PlannerConfig(angular_resolution=0.25, clearance_margin=0.0)
+        chooser = CheckedChooser(model, [SphereObstacle(np.array([0.1, 0.0, 0.0]), 0.02)], cfg)
+        positions = [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.2, 0.0, 0.0)]
+        choose = chooser(Phase.FORWARD, positions)
+        pitch, yaw = choose(0, JointAngles(0.0, 0.0), model.limits[0], model.base_frame(), positions[0])
+        assert CheckedChooser.rasterized == 1
+        assert (pitch, yaw) == (-0.25, 0.0)
+
     @pytest.mark.parametrize("base", [1e8, 1e12])
     def test_ball_pretest_keeps_what_the_keep_test_keeps_far_from_the_origin(self, base):
         # forward visits at joint 0 of a 3-link chain based far out: link 2
@@ -1131,7 +1183,7 @@ class TestBroadPhaseReject:
         )
         cfg = PlannerConfig()
         chooser = RecordingChooser(model, [], cfg)
-        reference = ReferenceNarrowPhase(model, [], cfg)
+        reference = ReferenceChooser(model, [], cfg)
         bound = 0.1 + 0.01 + cfg.clearance_margin + 0.01 + chooser._lips[0]
         rng = np.random.default_rng(0)
         kept = 0
@@ -1256,12 +1308,12 @@ def few_cells(hit):
 
 
 class TestLazySearch:
-    """The lazy search against chooser_reference.MaskChooser, which marks
-    every cell of the grid and takes the nearest point of a safe cell, on
-    the seeded visits of lazy_visits: the pick must be ==, SafeSetEmpty
-    must come in the same cases, and each pick must lie in a cell that no
-    kept sphere's cell test marks. Seeded, so every run checks the same
-    visits."""
+    """The lazy search against the dense search of
+    chooser_reference.ReferenceChooser, which marks every cell of the grid
+    and takes the nearest point of a safe cell, on the seeded visits of
+    lazy_visits: the pick must be ==, SafeSetEmpty must come in the same
+    cases, and each pick must lie in a cell that no kept sphere's cell
+    test marks. Seeded, so every run checks the same visits."""
 
     @pytest.mark.parametrize("kind, chains", LAZY_FAMILIES)
     def test_pick_matches_frozen_mask_chooser(self, kind, chains):
@@ -1271,7 +1323,7 @@ class TestLazySearch:
             # the visits of one joint in one sweep share their spheres
             if seen != (v.chooser, v.phase, v.joint):
                 if seen is None or seen[0] is not v.chooser:
-                    mask = MaskChooser(v.model, v.cfg)
+                    mask = ReferenceChooser(v.model, [], v.cfg)
                 seen = (v.chooser, v.phase, v.joint)
                 hits = mask.rasterize(v.joint, v.frame, np.asarray(v.pivot), v.chooser.spheres)
                 grazed = any(few_cells(hit) for hit in hits)
