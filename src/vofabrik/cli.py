@@ -71,10 +71,6 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     scenario = _load(args)
     record = TrajectoryRecord.read_csv(args.trajectory, scenario=scenario.name)
-    if record.n_links != scenario.chain.n_links:
-        raise ValidationError(
-            f"trajectory has {record.n_links} joints, scenario has {scenario.chain.n_links}"
-        )
     violations = validate_trajectory(scenario.chain, record, scenario.obstacles)
     residual = float(np.linalg.norm(record.end_effector[-1] - scenario.goal))
     reached = residual <= scenario.planner.goal_tolerance

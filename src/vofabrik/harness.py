@@ -441,13 +441,16 @@ def validate_trajectory(model: ChainModel, trajectory: TrajectoryRecord, obstacl
     and positive clearance between non-adjacent links. Returns a list of
     Violations; empty means the trajectory is safe. A NaN or infinite angle
     fails its limit check, and its row gets no other check, since it has no
-    pose.
+    pose. A record whose joint count is not the model's raises
+    ValidationError before any row is read.
 
     Only the pairs whose loosened bounding balls touch get an exact query;
     the others provably have positive clearance (module docstring). The
     list is == the one from querying every pair, in the same order with
     the same value bits (tests/validator_reference.py).
     """
+    if trajectory.n_links != model.n_links:
+        raise ValidationError(f"trajectory has {trajectory.n_links} joints, scenario has {model.n_links}")
     # each obstacle read once, so a one-shot iterable is checked in full
     spheres = [(as_vec3(o.center, "obstacle center").tolist(), o.radius) for o in obstacles]
     out = []

@@ -68,14 +68,8 @@ from .fabrik import (
     clamp_to_limits,
     solve as fabrik_solve,
 )
-from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, _loosen, as_vec3, fma
-from .velocity_obstacles import (
-    CollisionCone,
-    NoAdmissibleVelocity,
-    SphereObstacle,
-    VOConfig,
-    admissible_velocity,
-)
+from .geometry import COORDINATE_RANGE, DEGENERACY_THRESHOLD, DegenerateSegment, _loosen, _norm, as_vec3, fma
+from .velocity_obstacles import NoAdmissibleVelocity, SphereObstacle, VOConfig, _cone, _search
 
 # a plan stalls when a solve returns after 0 iterations, or when the tip
 # moved less than _STALL_DISPLACEMENT (m) on each of the last _STALL_WINDOW steps
@@ -515,22 +509,25 @@ def min_clearance(model: ChainModel, positions, obstacles) -> float:
     return best
 
 
-def _end_effector_velocity(model, state, goal, obstacles, cfg, remaining):
-    """Velocity-obstacle filtered step velocity for the end effector. Each
-    obstacle gives the cone collision_cone(tip, ee_radius, SphereObstacle(
-    center, radius + margin)), the margin shrunk to half the gap when the
-    tip is close, in the same float operations but with no input check
-    repeated on an obstacle already checked."""
+def _end_effector_velocity(model, state, goal, spheres, cfg, remaining):
+    """Velocity-obstacle filtered step velocity for the end effector, with
+    spheres the obstacles as (center float triple, radius). Each gives the
+    cone of collision_cone(tip, ee_radius, SphereObstacle(center, radius +
+    margin)), the margin shrunk to half the gap when the tip is close, in
+    the same float operations, built by _cone; of the cone's checks only
+    CollisionCone's truncation_distance > combined_radius is repeated."""
     tip = state.positions[-1]
     v_pref = (cfg.v_pref_speed / remaining) * (goal - tip)
     ee_radius = float(model.thicknesses[-1])
-    cones = []
-    for o in obstacles:
-        offset = o.center - tip
-        d = float(np.linalg.norm(offset))
-        margin = max(0.0, min(cfg.clearance_margin, 0.5 * (d - ee_radius - o.radius)))
-        cones.append(CollisionCone(offset / d, d, ee_radius + (o.radius + margin)))
-    return admissible_velocity(v_pref, cones, cfg.vo)
+    (tx, ty, tz), cones = tip.tolist(), []
+    for (x, y, z), r in spheres:
+        offset = (x - tx, y - ty, z - tz)
+        d = _norm(offset)
+        combined = ee_radius + (r + max(0.0, min(cfg.clearance_margin, 0.5 * (d - ee_radius - r))))
+        if d <= combined:
+            raise ValueError(f"truncation_distance must exceed combined_radius ({d} <= {combined})")
+        cones.append(_cone((offset[0] / d, offset[1] / d, offset[2] / d), d, combined))
+    return _search(v_pref, cones, cfg.vo.time_horizon)
 
 
 def plan(
@@ -553,9 +550,12 @@ def plan(
     solve of 0 iterations (blocked at once, or converged on a target
     within epsilon) returns its start state, so every later step would
     repeat it bit for bit: its step is recorded and, short of the goal,
-    the plan ends STALLED. The initial state is validated once, here;
-    each step solves from a state a solve returned, so no step checks it
-    again.
+    the plan ends STALLED. A step whose preferred velocity's norm
+    underflows to zero targets the tip, as a step within the goal
+    tolerance does, so it stalls the same way. The initial state is
+    validated once, here, and each obstacle read once into (center float
+    triple, radius) for the velocity filter; each step solves from a
+    state a solve returned, so no step checks it again.
     """
     if solver not in ("vofabrik", "fabrik"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -571,7 +571,8 @@ def plan(
         )
 
     if solver == "vofabrik":
-        chooser, avoided = ConeConstraints(model, obstacles, cfg), obstacles
+        chooser = ConeConstraints(model, obstacles, cfg)
+        avoided = [(o.center.tolist(), o.radius) for o in obstacles]
     else:
         chooser, avoided = None, []
     trajectory = [initial_state.copy()]
@@ -584,12 +585,12 @@ def plan(
     for _ in range(cfg.max_steps):
         t0 = time.perf_counter()
         try:
-            if remaining <= cfg.goal_tolerance:
-                target = state.positions[-1]
-            else:
+            target = state.positions[-1]
+            if remaining > cfg.goal_tolerance:
                 v = _end_effector_velocity(model, state, goal, avoided, cfg, remaining)
                 speed = float(np.linalg.norm(v))
-                target = state.positions[-1] + v * min(cfg.t_s, remaining / speed)
+                if speed > 0.0:  # else the preferred speed underflowed: stay
+                    target = target + v * min(cfg.t_s, remaining / speed)
             outcome = _solve(model, state, target, cfg.ik, choose_angles=chooser)
         except NoAdmissibleVelocity:
             status = PlanStatus.NO_ADMISSIBLE_VELOCITY

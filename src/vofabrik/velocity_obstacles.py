@@ -6,14 +6,15 @@ blocked when it lies inside a cone by the angular test and the exact time
 its ray first touches the combined sphere, not the axial-distance
 shortcut, is within the horizon, so the admissible set has no false
 positives for off-axis velocities. One private kernel, _blocked, decides
-this on Python float triples: admissible_velocity checks v_pref once and
-reads each cone into floats once, and every dot product goes through
-geometry's fma, as np.dot rounds it (tests/vo_reference.py).
+this on Python float triples, every dot product through geometry's fma,
+as np.dot rounds it (tests/vo_reference.py). It reads cones in one form,
+built by _cone: admissible_velocity reads each CollisionCone through it,
+and the planner's step builds its cones with it from checked obstacles.
 
-Velocity re-selection preserves speed: a deterministic Fibonacci sphere
-lattice is scanned for the admissible direction closest to the preferred
-one, then a geodesic bisection tightens it toward the preferred direction
-while staying admissible.
+Velocity re-selection preserves speed: one search, _search, scans a
+Fibonacci sphere lattice for the admissible direction closest to the
+preferred one, then a geodesic bisection tightens it toward the
+preferred direction while staying admissible.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class CollisionCone:
     obstacle center; truncation_distance is the center distance,
     combined_radius the sum of the two radii. half_angle,
     asin(combined_radius / truncation_distance), is derived from them.
+    axis must be unit length, within 1e-12, as ChainModel's base_direction.
     """
 
     axis: np.ndarray
@@ -74,6 +76,9 @@ class CollisionCone:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", as_vec3(self.axis, "axis"))
+        n = float(np.linalg.norm(self.axis))
+        if not abs(n - 1.0) <= 1e-12:
+            raise ValueError(f"axis must be unit length, norm is {n:.17g}")
         for name in ("truncation_distance", "combined_radius"):
             object.__setattr__(self, name, as_length(getattr(self, name), name))
         if self.truncation_distance <= self.combined_radius:
@@ -115,12 +120,14 @@ def collision_cone(agent_center, agent_radius: float, obstacle: SphereObstacle) 
     return CollisionCone(axis=offset / d, truncation_distance=d, combined_radius=combined)
 
 
-def _floats(cone: CollisionCone):
-    # The cone as _blocked reads it: axis, obstacle center seen from the
-    # agent (axis * distance), distance**2 - combined**2 and angular limit
-    (x, y, z), d = cone.axis.tolist(), cone.truncation_distance
-    limit = cone.half_angle - _BOUNDARY_EPSILON
-    return (x, y, z), (x * d, y * d, z * d), d**2 - cone.combined_radius**2, limit
+def _cone(axis, d: float, combined: float):
+    # The cone as _blocked reads it, from its unit axis (a float triple),
+    # center distance d and combined radius: the axis, the obstacle center
+    # seen from the agent (axis * d), d**2 - combined**2 and the angular
+    # limit, the half-angle asin(combined / d) less _BOUNDARY_EPSILON
+    x, y, z = axis
+    limit = math.asin(combined / d) - _BOUNDARY_EPSILON
+    return (x, y, z), (x * d, y * d, z * d), d**2 - combined**2, limit
 
 
 def _contact_time(v, a, center, c) -> float:
@@ -138,7 +145,7 @@ def _contact_time(v, a, center, c) -> float:
 
 def _blocked(v, cones, horizon: float) -> bool:
     # Whether velocity v, at least _REST_SPEED fast, first touches the sphere
-    # of one of the _floats cones within the horizon at an angle to its
+    # of one of the _cone cones within the horizon at an angle to its
     # axis below half_angle - _BOUNDARY_EPSILON
     a = _dot(v, v)
     speed = math.sqrt(a)
@@ -178,13 +185,19 @@ def admissible_velocity(v_pref, cones, cfg: VOConfig) -> np.ndarray:
     """
     v_pref = as_vec3(v_pref, "v_pref")
     p = v_pref.tolist()
-    speed = math.sqrt(_dot(p, p))
-    if not speed > 0.0:
+    if not _dot(p, p) > 0.0:
         raise ValueError("v_pref must be nonzero")
-    cones = [_floats(cone) for cone in cones]
-    horizon = cfg.time_horizon
+    cones = [_cone(c.axis.tolist(), c.truncation_distance, c.combined_radius) for c in cones]
+    return _search(v_pref, cones, cfg.time_horizon)
+
+
+def _search(v_pref, cones, horizon: float) -> np.ndarray:
+    # admissible_velocity past its checks, on cones from _cone; a v_pref
+    # slower than _REST_SPEED, zero included, is never blocked
+    p = v_pref.tolist()
     if not _blocked(p, cones, horizon):
         return v_pref
+    speed = math.sqrt(_dot(p, p))
 
     def scaled(u):
         return (u[0] * speed, u[1] * speed, u[2] * speed)

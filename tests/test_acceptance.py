@@ -51,7 +51,7 @@ from vofabrik import (
     validate_trajectory,
 )
 from vofabrik.planner import _end_effector_velocity
-from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON, _blocked, _floats
+from vofabrik.velocity_obstacles import _BOUNDARY_EPSILON, _blocked, _cone
 
 UNLIMITED = JointLimits.unlimited()
 CAVITY_NAMES = ("cavity_19dof", "cavity_19dof_extended")
@@ -319,12 +319,14 @@ class TestAcceptance:
         velocity is array_equal to admissible_velocity over one public
         collision_cone per obstacle: the tip sphere against the obstacle
         inflated by the clearance margin, shrunk to half the gap when the
-        tip is close (the step target that benchmarks/tracing.py replays)."""
+        tip is close (the step target that benchmarks/tracing.py replays).
+        The planner reads each obstacle as (center float triple, radius)."""
         states = turned = 0
         for name, k, scenario, state, remaining, v_pref, cones in filter_inputs(shipped_runs):
             cfg = scenario.planner
+            spheres = [(o.center.tolist(), o.radius) for o in scenario.obstacles]
             want = admissible_velocity(v_pref, cones, cfg.vo)
-            got = _end_effector_velocity(scenario.chain, state, scenario.goal, scenario.obstacles, cfg, remaining)
+            got = _end_effector_velocity(scenario.chain, state, scenario.goal, spheres, cfg, remaining)
             assert np.array_equal(got, want), (name, k)
             states += 1
             turned += not np.array_equal(want, v_pref)
@@ -435,7 +437,8 @@ class TestAcceptance:
             else:
                 velocity = rng.normal(size=3) * rng.uniform(0.1, 1.5)
 
-            predicted = _blocked(velocity.tolist(), [_floats(cone)], cfg.time_horizon)
+            kernel_cone = _cone(cone.axis.tolist(), cone.truncation_distance, cone.combined_radius)
+            predicted = _blocked(velocity.tolist(), [kernel_cone], cfg.time_horizon)
             path = agent_center + np.outer(ts, velocity) - obstacle.center
             closest = float(np.min(np.linalg.norm(path, axis=1)))
             actual = closest <= agent_radius + obstacle_radius

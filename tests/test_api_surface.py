@@ -62,16 +62,37 @@ def test_every_exported_function_has_a_caller():
 
 
 def test_planner_builds_its_cones_directly():
-    """The velocity filter builds each CollisionCone itself: planner.py
-    builds no SphereObstacle and neither imports nor names collision_cone,
-    whose input checks the obstacles already passed."""
+    """The planner's step builds the filter kernel's cones itself: planner.py
+    calls no CollisionCone, SphereObstacle or admissible_velocity, names no
+    collision_cone, and its step velocity calls _cone and the private
+    search. Exactly one function of velocity_obstacles.py, _cone, returns
+    the kernel's cone tuple (axis, center, c, limit), and
+    admissible_velocity reaches it."""
     tree = ast.parse((ROOT / "src" / "vofabrik" / "planner.py").read_text())
     calls = {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert "CollisionCone" in calls and "SphereObstacle" not in calls
+    assert not {"CollisionCone", "SphereObstacle", "admissible_velocity"} & calls
     assert "collision_cone" not in names
+    (step,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_end_effector_velocity"]
+    assert {"_cone", "_search"} <= {n.func.id for n in ast.walk(step) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    tree = ast.parse((ROOT / "src" / "vofabrik" / "velocity_obstacles.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    builders = [
+        name
+        for name, node in functions.items()
+        if any(isinstance(r, ast.Return) and isinstance(r.value, ast.Tuple) and len(r.value.elts) == 4 for r in ast.walk(node))
+    ]
+    assert builders == ["_cone"]
+    reached, todo = set(), ["admissible_velocity"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        used = {n.func.id for n in ast.walk(functions[name]) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        todo.extend(sorted((used & functions.keys()) - reached))
+    assert {"_cone", "_search", "_blocked"} <= reached
 
 
 def test_validator_uses_no_planner_name():
@@ -223,9 +244,10 @@ def test_chooser_visit_path_uses_no_numpy():
 
 def test_velocity_filter_checks_each_value_once():
     """The velocity filter checks v_pref once and runs one kernel in plain
-    floats: _blocked, the _floats reading of each cone, and every package
-    function they reach name no np attribute and call no as_vec3 or
-    as_length; admissible_velocity calls as_vec3 once and as_length never."""
+    floats: _blocked, _cone (the one cone form), and every package function
+    they reach name no np attribute and call no as_vec3 or as_length;
+    admissible_velocity calls as_vec3 once and as_length never before it
+    hands its cones to _search, which checks nothing again."""
     functions = {}
     for module in ("velocity_obstacles", "geometry"):
         tree = ast.parse((ROOT / "src" / "vofabrik" / f"{module}.py").read_text())
@@ -234,7 +256,7 @@ def test_velocity_filter_checks_each_value_once():
     def calls(node):
         return [getattr(n.func, "id", None) for n in ast.walk(node) if isinstance(n, ast.Call)]
 
-    reached, todo = set(), ["_blocked", "_floats"]
+    reached, todo = set(), ["_blocked", "_cone"]
     while todo:
         name = todo.pop()
         reached.add(name)
@@ -244,10 +266,12 @@ def test_velocity_filter_checks_each_value_once():
         assert not {"as_vec3", "as_length"} & set(calls(functions[name])), name
         used = {n.id for n in nodes if isinstance(n, ast.Name)}
         todo.extend(sorted((used & functions.keys()) - reached))
-    assert {"_blocked", "_floats", "_contact_time", "_dot", "fma"} <= reached
+    assert {"_blocked", "_cone", "_contact_time", "_dot", "fma"} <= reached
     filter_calls = calls(functions["admissible_velocity"])
     assert filter_calls.count("as_vec3") == 1 and "as_length" not in filter_calls
-    assert "_blocked" in filter_calls
+    assert {"_cone", "_search"} <= set(filter_calls)
+    search_calls = calls(functions["_search"])
+    assert "_blocked" in search_calls and not {"as_vec3", "as_length", "_cone"} & set(search_calls)
 
 
 def test_min_clearance_has_one_row_arithmetic():

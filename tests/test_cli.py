@@ -163,6 +163,19 @@ class TestRun:
         assert done.stderr.startswith("error: link 1 length must lie within [1.00088")
         assert "Traceback" not in done.stderr
 
+    def test_underflowing_preferred_speed_stalls_without_a_traceback(self, planar_3link, tmp_path):
+        # the preferred velocity's norm underflows to zero: the plan ends
+        # Stalled, and the CLI reports it like any other status
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "vofabrik.cli", "run", "--scenario", planar_3link, "--out-dir", str(tmp_path),
+             "--set", "v_pref_speed=1e-320"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "planar_3link [vofabrik]: Stalled, 1 steps" in done.stdout
+        assert "Traceback" not in done.stderr
+
     def test_obstacle_radius_out_of_range_exits_two(self, planar_2link, tmp_path, capsys):
         # a ValidationError since obstacles follow the links' error type
         doc = json.loads(Path(planar_2link).read_text())
@@ -230,12 +243,15 @@ class TestValidate:
         assert code == 1
         assert "0 violations" in out
 
-    def test_wrong_chain_size_reported(self, planar_2link, planar_3link, tmp_path, capsys):
-        main(["run", "--scenario", planar_3link, "--out-dir", str(tmp_path)])
-        trajectory = tmp_path / "planar_3link_vofabrik_trajectory.csv"
-        code = main(["validate", "--scenario", planar_2link, "--trajectory", str(trajectory)])
-        assert code == 2
-        assert "joints" in capsys.readouterr().err
+    def test_wrong_chain_size_reported(self, tmp_path, capsys):
+        # validate_trajectory owns the joint-count check, in both directions
+        for ran, checked in ((3, 2), (2, 3)):
+            main(["run", "--scenario", str(scenario_path(f"planar_{ran}link")), "--out-dir", str(tmp_path)])
+            capsys.readouterr()
+            trajectory = tmp_path / f"planar_{ran}link_vofabrik_trajectory.csv"
+            code = main(["validate", "--scenario", str(scenario_path(f"planar_{checked}link")), "--trajectory", str(trajectory)])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: trajectory has {ran} joints, scenario has {checked}\n"
 
 
 class TestCompare:

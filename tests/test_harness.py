@@ -552,6 +552,19 @@ class TestValidateTrajectory:
         assert validate_trajectory(model, record, iter(obstacles)) == want
         assert validate_trajectory(model, record, (o for o in obstacles)) == want
 
+    @pytest.mark.parametrize("joints", [2, 4])
+    def test_joint_count_mismatch_raises_before_any_row(self, joints):
+        # checked before any row: a record with fewer joints than the
+        # model would index past its angles, one with more would reach
+        # fk's ValueError only after the limit loop
+        model = self.planar_model()
+        record = TrajectoryRecord(
+            scenario="crafted", steps=[0, 1], t=[0.0, 0.2], angles=np.full((2, joints, 2), 9.0),
+            end_effector=np.zeros((2, 3)), min_clearance=[1.0, 1.0], wall_time=[0.0, 0.0],
+        )
+        with pytest.raises(ValidationError, match=f"^trajectory has {joints} joints, scenario has 3$"):
+            validate_trajectory(model, record, [SphereObstacle(np.zeros(3), 0.1)])
+
     def test_rigid_link_violation_when_ee_edited(self):
         model = self.planar_model()
         record = self.record_for(model, [np.zeros((3, 2))])

@@ -2,6 +2,7 @@
 cell test and lazy search, checked on the chooser plan() runs, the outer
 goal-stepping loop, and random small scenarios from load to validation."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -45,11 +46,19 @@ from vofabrik.planner import (
     InitialStateInCollision,
     PlannerConfig,
     PlanStatus,
+    _end_effector_velocity,
     ik_phase,
     min_clearance,
     plan,
 )
-from vofabrik.velocity_obstacles import SphereObstacle
+from vofabrik.velocity_obstacles import (
+    AlreadyInCollision,
+    NoAdmissibleVelocity,
+    SphereObstacle,
+    _cone,
+    admissible_velocity,
+    collision_cone,
+)
 
 
 def make_chain(n, length=0.1, thickness=0.01, limit=None):
@@ -625,6 +634,18 @@ class TestPlan:
         assert out.status is PlanStatus.NO_ADMISSIBLE_VELOCITY
         assert len(out.trajectory) == 1
 
+    @pytest.mark.parametrize("solver", ["vofabrik", "fabrik"])
+    def test_underflowing_preferred_velocity_stalls(self, solver):
+        # v_pref_speed / remaining * (goal - tip) is subnormal and its norm
+        # underflows to zero: the step targets the tip, its solve takes 0
+        # iterations and the plan ends Stalled on one repeated row
+        sc = load_scenario(scenario_path("planar_3link"))
+        cfg = dataclasses.replace(sc.planner, v_pref_speed=1e-320)
+        out = plan(sc.chain, sc.initial_state(), sc.goal, sc.obstacles, cfg, solver=solver)
+        assert out.status is PlanStatus.STALLED
+        assert len(out.trajectory) == 2
+        assert np.array_equal(out.trajectory[1].angles, out.trajectory[0].angles)
+
     def test_rerun_is_bit_identical(self):
         model = snake_chain(n=9)
         state = state_from_angles(model, np.zeros((9, 2)))
@@ -719,6 +740,74 @@ def scenario_docs(draw):
             "ik": {"max_iterations": draw(st.integers(5, 100))},
         },
     }
+
+
+class TestStepFilter:
+    """The planner's step filter against the public cone path."""
+
+    def test_step_cones_match_public_cones_on_seeded_pairs(self, monkeypatch):
+        """The step's cones are == to _cone of the public collision_cone of
+        each obstacle inflated by the clearance margin, shrunk to half the
+        gap when the tip is close, and the step velocity is array_equal to
+        admissible_velocity over those cones, on seeded tips and obstacles.
+        Gaps run from near contact through the shrunk-margin branch (under
+        2 x margin) to well clear; where the public cone does not exist,
+        the step raises CollisionCone's ValueError."""
+        seen = []
+        search = vofabrik.planner._search
+        monkeypatch.setattr(vofabrik.planner, "_search", lambda v, cones, h: seen.append(cones) or search(v, cones, h))
+        rng = np.random.default_rng(2311)
+        counts = collections.Counter()
+        for _ in range(3000):
+            ee_radius = float(rng.choice([0.0, rng.uniform(1e-3, 0.05)]))
+            model = ChainModel(
+                base=rng.normal(size=3) * 10.0 ** rng.uniform(-1.0, 3.0),
+                base_direction=np.array([1.0, 0.0, 0.0]),
+                links=[LinkSpec(0.3, 0.01), LinkSpec(0.2, ee_radius)],
+                limits=[JointLimits.unlimited()] * 2,
+            )
+            state = state_from_angles(model, rng.uniform(-3.0, 3.0, (2, 2)))
+            tip = state.positions[-1]
+            cfg = PlannerConfig(clearance_margin=float(rng.choice([0.0, 5e-3, rng.uniform(1e-4, 0.05)])))
+            m = cfg.clearance_margin
+            obstacles = []
+            for _ in range(int(rng.integers(1, 6))):
+                u = rng.normal(size=3)
+                u /= np.linalg.norm(u)
+                r = float(rng.uniform(0.01, 0.3))
+                kind = rng.integers(3)
+                gap = (10.0 ** rng.uniform(-16.0, -6.0), rng.uniform(0.0, 2.0 * m), rng.uniform(2.0 * m, 1.0))[kind]
+                obstacles.append(SphereObstacle(tip + u * (ee_radius + r + gap), r))
+            aim = obstacles[0].center - tip if rng.random() < 0.5 else rng.normal(size=3)
+            goal = tip + aim * rng.uniform(0.5, 3.0)
+            remaining = float(np.linalg.norm(goal - tip))
+            v_pref = (cfg.v_pref_speed / remaining) * (goal - tip)
+            spheres = [(o.center.tolist(), o.radius) for o in obstacles]
+            cones = []
+            try:
+                for o in obstacles:
+                    d = float(np.linalg.norm(o.center - tip))
+                    margin = max(0.0, min(m, 0.5 * (d - ee_radius - o.radius)))
+                    cones.append(collision_cone(tip, ee_radius, SphereObstacle(o.center, o.radius + margin)))
+            except AlreadyInCollision:
+                with pytest.raises(ValueError, match="truncation_distance must exceed combined_radius"):
+                    _end_effector_velocity(model, state, goal, spheres, cfg, remaining)
+                counts["no cone"] += 1
+                continue
+            seen.clear()
+            try:
+                want = admissible_velocity(v_pref, cones, cfg.vo)
+            except NoAdmissibleVelocity:
+                with pytest.raises(NoAdmissibleVelocity):
+                    _end_effector_velocity(model, state, goal, spheres, cfg, remaining)
+                counts["none admissible"] += 1
+                continue
+            got = _end_effector_velocity(model, state, goal, spheres, cfg, remaining)
+            (step_cones,) = seen
+            assert step_cones == [_cone(c.axis.tolist(), c.truncation_distance, c.combined_radius) for c in cones]
+            assert np.array_equal(got, want)
+            counts["kept" if want is v_pref else "turned"] += 1
+        assert counts["kept"] >= 100 and counts["turned"] >= 100 and counts["no cone"] >= 10, counts
 
 
 class TestRandomScenarios:

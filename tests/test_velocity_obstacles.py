@@ -27,8 +27,8 @@ from vofabrik.velocity_obstacles import (
     _BOUNDARY_EPSILON,
     _REST_SPEED,
     _blocked,
+    _cone,
     _contact_time,
-    _floats,
     _lattice,
 )
 
@@ -43,9 +43,14 @@ def simulated_collision(agent_center, agent_radius, obstacle, v, horizon, steps=
     return bool(np.any(gap <= agent_radius + obstacle.radius))
 
 
+def kernel_cone(cone):
+    """A CollisionCone in the kernel's form, read as admissible_velocity reads it."""
+    return _cone(cone.axis.tolist(), cone.truncation_distance, cone.combined_radius)
+
+
 def blocked(v, cone, cfg):
     """The filter's own membership test: whether cone blocks velocity v."""
-    return _blocked(np.asarray(v, dtype=float).tolist(), [_floats(cone)], cfg.time_horizon)
+    return _blocked(np.asarray(v, dtype=float).tolist(), [kernel_cone(cone)], cfg.time_horizon)
 
 
 def enclosing_cones():
@@ -112,6 +117,27 @@ class TestCollisionCone:
         with pytest.raises(TypeError):
             CollisionCone(np.array([1.0, 0.0, 0.0]), 2.0, 0.4, half_angle=0.5)
 
+    @pytest.mark.parametrize(
+        "axis", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 2e-6, 0.0)], ids=["zero", "half", "double", "off"]
+    )
+    def test_axis_not_unit_length_rejected(self, axis):
+        # a zero or short axis would let a velocity aimed straight at the
+        # obstacle pass unturned
+        with pytest.raises(ValueError, match="axis must be unit length"):
+            CollisionCone(axis, 0.5, 0.2)
+
+    def test_collision_cone_axes_pass_the_unit_check(self):
+        # the unit rule holds to 1e-12, as for ChainModel's base_direction;
+        # collision_cone's axes, offset / d, are far within it
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for _ in range(5000):
+            agent = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 6.0)
+            offset = rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 3.0)
+            cone = collision_cone(agent, 0.0, SphereObstacle(agent + offset, 1e-3 * float(np.linalg.norm(offset))))
+            worst = max(worst, abs(float(np.linalg.norm(cone.axis)) - 1.0))
+        assert worst <= 1e-15
+
 
 class TestSphereObstacle:
     @pytest.mark.parametrize("velocity", [(0.0, 1.0, 0.0), (-5.0, 0.0, 0.0), (0.0, 0.0, 1e-300)])
@@ -154,7 +180,7 @@ class TestInCone:
         assert not blocked(np.zeros(3), self.cone(), self.CFG)
 
     def test_first_contact_time_on_axis(self):
-        _, center, c, _ = _floats(self.cone())
+        _, center, c, _ = kernel_cone(self.cone())
         t = _contact_time([1.0, 0.0, 0.0], 1.0, center, c)
         assert t == pytest.approx(1.6, abs=1e-12)
 
@@ -314,7 +340,7 @@ class TestFrozenReference:
             outcomes.add(member)
             a = float(np.dot(v, v))
             if math.sqrt(a) >= _REST_SPEED:
-                _, center, c, _ = _floats(cone)
+                _, center, c, _ = kernel_cone(cone)
                 assert _contact_time(v.tolist(), a, center, c) == vo_reference.first_contact_time(v, cone)
         assert outcomes == {False, True}
 
