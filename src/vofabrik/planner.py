@@ -31,11 +31,13 @@ Each visit first gathers the spheres within reach in one pass in plain
 Python floats, reading the sweep's float tuples; most visits keep none
 and end as a limit clamp. Its dot products are summed in the order
 numpy's einsum sums a row of three, so the spheres are bit-equal to a
-numpy evaluation. The cell test's inputs round each sphere's 3-vector dot
-products with geometry.fma, as numpy's fused dot products do, and the cell
-test reads each joint's cell-center cosines and sines from float tables
-built once per (limits, resolution) and shared by every chooser. A visit
-builds no array.
+numpy evaluation. A visit that keeps spheres then tests the clamped cell
+in unfused floats against a loosened reach, and ends there when no sphere
+marks it. Only otherwise are the cell test's inputs built, each dot
+product rounded with geometry.fma as numpy's fused dot products are. The
+cell test reads each joint's cell-center cosines and sines from float
+tables built once per (limits, resolution) and shared by every chooser. A
+visit builds no array.
 
 min_clearance evaluates all link-obstacle pairs in one batch and all
 non-adjacent link pairs in one segment-segment kernel, both through one
@@ -111,6 +113,22 @@ class PlannerConfig:
         ):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        # the preferred velocity is (v_pref_speed / remaining) * (goal - tip),
+        # remaining > goal_tolerance: factor and velocity stay within 1e75, so
+        # the filter's fma operands (velocities, offsets within 2e75) stay
+        # where fma is exact, and _contact_time's b*b and a*c stay finite
+        if self.v_pref_speed / min(self.goal_tolerance, 1.0) > 1e150 / COORDINATE_RANGE:
+            raise ValueError(
+                f"v_pref_speed / min(goal_tolerance, 1) must be <= {1e150 / COORDINATE_RANGE:g}, "
+                f"got {self.v_pref_speed} / {min(self.goal_tolerance, 1.0)}"
+            )
+        # _axis_grid builds ceil(range / angular_resolution) cells per joint
+        # axis, the range at most 2 pi: at most 10,000 cells (1.4 MB) each
+        if 2.0 * math.pi / self.angular_resolution > 10_000:
+            raise ValueError(
+                f"angular_resolution must give at most 10000 cells over 2 pi, so be >= "
+                f"{2.0 * math.pi / 10_000:.6g}, got {self.angular_resolution}"
+            )
         if type(self.max_steps) is not int or self.max_steps < 1:
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if not 0 <= self.clearance_margin < math.inf:
@@ -162,6 +180,13 @@ def _hit(cp, sp, cy, sy, test, length):
     return rr - 2.0 * t * s + t * t <= reach2
 
 
+def _triad(frame):
+    """The frame's forward, lateral (up x forward) and up float triples."""
+    fx, fy, fz = frame.forward
+    ux, uy, uz = frame.up
+    return (fx, fy, fz), (uy * fz - uz * fy, uz * fx - ux * fz, ux * fy - uy * fx), (ux, uy, uz)
+
+
 def _term(edges, k, d):
     """The point of cell k nearest d, and its squared distance from d."""
     v = min(max(d, edges[k]), edges[k + 1])
@@ -181,10 +206,13 @@ class ConeConstraints:
     a sweep's state lives in that function.
 
     Each visit first gathers the spheres within reach in one pass in plain
-    Python floats (_touch_spheres), then the inputs of each one's cell test
-    (_cell_tests), and tests only the cells its pick needs (_nearest_safe).
+    Python floats (_touch_spheres). If it keeps any, _certify tests the
+    clamped cell in unfused floats against a loosened reach; only when a
+    sphere may mark it are the inputs of each one's cell test built
+    (_cell_tests) and the cells its pick needs tested (_nearest_safe).
     Positions, the pivot and the frame arrive as the sweep's float tuples;
-    every 3-vector dot product is rounded with geometry.fma, as np.dot does.
+    on that exact path every 3-vector dot product is rounded with
+    geometry.fma, as np.dot does.
     """
 
     def __init__(self, model: ChainModel, obstacles: Sequence[SphereObstacle], cfg: PlannerConfig):
@@ -237,6 +265,9 @@ class ConeConstraints:
             spheres = self._touch_spheres(phase, joint, pivot, links)
             if not spheres:
                 return clamp_to_limits(desired.pitch, desired.yaw, limits)
+            certified = self._certify(joint, desired, limits, frame, pivot, spheres)
+            if certified is not None:
+                return certified
             return self._nearest_safe(joint, limits, desired, self._cell_tests(joint, frame, pivot, spheres))
 
         return choose
@@ -295,15 +326,36 @@ class ConeConstraints:
             spheres.append((x, y, z, touch))
         return spheres
 
+    def _certify(self, joint, desired, limits, frame, pivot, spheres):
+        """The clamped desired angles when no sphere's _hit marks their cell
+        in unfused floats against reach**2 loosened on rr + length**2; else
+        None, for the exact path (_cell_tests, then _nearest_safe). Both
+        evaluate g = rr - 2ts + t**2 within a few ulps of rr + length**2,
+        thousands of times inside that margin, so a certified pick is the
+        exact path's. g never exceeds rr: a sphere holding the pivot marks
+        the cell, so SafeSetEmpty is never skipped."""
+        clamped = clamp_to_limits(desired.pitch, desired.yaw, limits)
+        (pe, _, pcos, psin), (ye, _, ycos, ysin) = self.grids[joint]
+        i, j = _cell_of(pe, clamped[0]), _cell_of(ye, clamped[1])
+        cp, sp, cy, sy = pcos[i], psin[i], ycos[j], ysin[j]
+        length, lip = self._lengths[joint], self._lips[joint]
+        (fx, fy, fz), (lx, ly, lz), (ux, uy, uz) = _triad(frame)
+        px, py, pz = pivot
+        for x, y, z, touch in spheres:
+            rx, ry, rz = x - px, y - py, z - pz
+            rr = rx * rx + ry * ry + rz * rz
+            rf, rl, ru = rx * fx + ry * fy + rz * fz, rx * lx + ry * ly + rz * lz, rx * ux + ry * uy + rz * uz
+            reach = touch + lip
+            if _hit(cp, sp, cy, sy, (rf, rl, ru, rr, _loosen(reach * reach, rr + length * length)), length):
+                return None
+        return clamped
+
     def _cell_tests(self, joint, frame, pivot, spheres):
         """Per sphere that the link can reach, the inputs (rf, rl, ru, rr,
         reach**2) of its cell test _hit. A sphere holding the pivot forbids
         every cell: SafeSetEmpty."""
         length, lip = self._lengths[joint], self._lips[joint]
-        fx, fy, fz = frame.forward
-        ux, uy, uz = frame.up
-        # forward, lateral (up x forward), up
-        triad = ((fx, fy, fz), (uy * fz - uz * fy, uz * fx - ux * fz, ux * fy - uy * fx), (ux, uy, uz))
+        triad = _triad(frame)
         px, py, pz = pivot
         tests = []
         for x, y, z, touch in spheres:

@@ -239,7 +239,26 @@ def test_chooser_visit_path_uses_no_numpy():
         used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         used |= {f"self.{a}" for a in attributes(node, "self")}
         todo.extend(sorted((used & functions.keys()) - reached))
-    assert {"self._touch_spheres", "self._cell_tests", "self._nearest_safe", "_hit", "clamp_to_limits", "fma"} <= reached
+    assert {"self._touch_spheres", "self._certify", "self._cell_tests", "self._nearest_safe"} <= reached
+    assert {"_hit", "clamp_to_limits", "fma"} <= reached
+
+
+def test_certificate_runs_the_one_cell_test_unfused():
+    """The chooser's certificate of the clamped cell has no cell test of
+    its own: it calls _hit, widens reach**2 through the one loosening rule
+    (_loosen with a scale), and names no fma and no np, so it costs plain
+    float products."""
+    tree = ast.parse((ROOT / "src" / "vofabrik" / "planner.py").read_text())
+    chooser = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ConeConstraints")
+    certify = next(n for n in chooser.body if isinstance(n, ast.FunctionDef) and n.name == "_certify")
+    nodes = list(ast.walk(certify))
+    calls = {}
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            calls.setdefault(node.func.id, []).append(len(node.args) + len(node.keywords))
+    assert {"_hit", "_loosen"} <= calls.keys() and calls["_loosen"] == [2], calls
+    names = {n.id for n in nodes if isinstance(n, ast.Name)}
+    assert not names & {"fma", "np"}, sorted(names & {"fma", "np"})
 
 
 def test_velocity_filter_checks_each_value_once():

@@ -176,6 +176,22 @@ class TestRun:
         assert "planar_3link [vofabrik]: Stalled, 1 steps" in done.stdout
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("pair", ["v_pref_speed=1e308", "angular_resolution=1e-4"])
+    def test_setting_past_its_range_exits_two_without_a_traceback(self, planar_3link, tmp_path, pair):
+        # the preferred velocity would overflow inside the velocity filter;
+        # the chooser's grids would take up to 62,832 cells per joint axis,
+        # past the 10,000 allowed (a value small enough to build, were the
+        # floor ever lost)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "vofabrik.cli", "run", "--scenario", planar_3link, "--out-dir", str(tmp_path),
+             "--set", pair],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: --set: {pair.partition('=')[0]}")
+        assert "Traceback" not in done.stderr
+
     def test_obstacle_radius_out_of_range_exits_two(self, planar_2link, tmp_path, capsys):
         # a ValidationError since obstacles follow the links' error type
         doc = json.loads(Path(planar_2link).read_text())

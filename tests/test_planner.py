@@ -24,6 +24,7 @@ from vofabrik.chain import (
     ChainModel,
     ChainState,
     JointAngles,
+    JointFrame,
     JointLimits,
     LinkSpec,
     angles_from_direction,
@@ -646,6 +647,33 @@ class TestPlan:
         assert len(out.trajectory) == 2
         assert np.array_equal(out.trajectory[1].angles, out.trajectory[0].angles)
 
+    @pytest.mark.parametrize("speed, tolerance", [(1e308, 5e-3), (1e73, 5e-3), (2e75, 2.0)])
+    def test_preferred_speed_past_the_exact_range_fails_when_built(self, speed, tolerance):
+        # the factor v_pref_speed / remaining (remaining > goal_tolerance)
+        # or the velocity itself would leave 1e75, past which the filter's
+        # products leave the range where geometry.fma is exact; 1e308
+        # overflowed to inf there
+        with pytest.raises(ValueError, match="v_pref_speed"):
+            PlannerConfig(v_pref_speed=speed, goal_tolerance=tolerance)
+
+    @pytest.mark.parametrize("name", ["planar_3link", "cavity_19dof_extended"])
+    def test_fastest_accepted_preferred_speed_plans(self, name):
+        sc = load_scenario(scenario_path(name))
+        cfg = dataclasses.replace(sc.planner, v_pref_speed=0.999e75 * sc.planner.goal_tolerance, max_steps=3)
+        out = plan(sc.chain, sc.initial_state(), sc.goal, sc.obstacles, cfg)
+        assert out.status in (PlanStatus.GOAL_REACHED, PlanStatus.STEP_LIMIT, PlanStatus.STALLED)
+        assert all(m.min_clearance > 0.0 for m in out.per_step_metrics)
+
+    def test_angular_resolution_has_a_floor(self):
+        # at most 10,000 cells over 2 pi per joint axis, checked when the
+        # config is built, before any grid is; 1e-8 rad would ask for
+        # 6.3e8 cells on each axis
+        floor = 2.0 * math.pi / 10_000
+        assert PlannerConfig(angular_resolution=floor).angular_resolution == floor
+        for resolution in (math.nextafter(floor, 0.0), 1e-8, 5e-324):
+            with pytest.raises(ValueError, match="angular_resolution must give at most 10000 cells"):
+                PlannerConfig(angular_resolution=resolution)
+
     def test_rerun_is_bit_identical(self):
         model = snake_chain(n=9)
         state = state_from_angles(model, np.zeros((9, 2)))
@@ -1115,9 +1143,12 @@ class CheckedChooser(ConeConstraints):
     inputs to each sphere's cell test (==), each sphere's cells marked
     through the planner's cell test equal to the reference's (array_equal)
     on the cells of cells_to_compare, and the same pick (==) as the
-    reference's dense search, with SafeSetEmpty in the same cases."""
+    reference's dense search, with SafeSetEmpty in the same cases. A visit
+    the plain-float certificate settles runs the checked exact path too,
+    which must give the same clamped pick, so every visit that keeps a
+    sphere is rasterized and compared."""
 
-    visits = rejected = rasterized = outside = 0
+    visits = rejected = rasterized = outside = certified = 0
 
     def __init__(self, model, obstacles, cfg):
         super().__init__(model, obstacles, cfg)
@@ -1142,6 +1173,17 @@ class CheckedChooser(ConeConstraints):
         type(self).visits += 1
         type(self).rejected += not spheres
         return spheres
+
+    def _certify(self, joint, desired, limits, frame, pivot, spheres):
+        got = super()._certify(joint, desired, limits, frame, pivot, spheres)
+        if got is not None:
+            type(self).certified += 1
+            try:
+                exact = self._nearest_safe(joint, limits, desired, self._cell_tests(joint, frame, pivot, spheres))
+            except SafeSetEmpty:
+                raise AssertionError(("certified a visit the exact path finds blocked", joint, desired)) from None
+            assert got == exact == clamp_to_limits(desired.pitch, desired.yaw, limits), (joint, desired)
+        return got
 
     def _cell_tests(self, joint, frame, pivot, spheres):
         want_tests = []
@@ -1187,7 +1229,7 @@ class TestBroadPhaseReject:
     def run_checked(self, monkeypatch, model, state, goal, obstacles, cfg):
         """Share of the plan's visits that kept no sphere."""
         monkeypatch.setattr(vofabrik.planner, "ConeConstraints", CheckedChooser)
-        for counter in ("visits", "rejected", "rasterized", "outside"):
+        for counter in ("visits", "rejected", "rasterized", "outside", "certified"):
             monkeypatch.setattr(CheckedChooser, counter, 0)
         plan(model, state, goal, obstacles, cfg)
         assert CheckedChooser.visits > 0
@@ -1200,11 +1242,15 @@ class TestBroadPhaseReject:
         assert CheckedChooser.rasterized > 0
         if name == "cavity_19dof_extended":
             assert share > 0.5
+            assert CheckedChooser.certified > 0
         if name == "planar_2link":
             # searched picks on the edge of the forbidden cells' bounding
             # box or beyond it, where the lazy search must leave the run
             # of forbidden cells it starts in
             assert CheckedChooser.outside > 0
+            # the certificate settles some visits and leaves others to the
+            # exact path
+            assert 0 < CheckedChooser.certified < CheckedChooser.rasterized
 
     @pytest.mark.parametrize("thickness", [0.01, [0.0, 0.01, 0.01, 0.01, 0.01, 0.01]])
     def test_reject_is_conservative_on_folded_thick_chain(self, monkeypatch, thickness):
@@ -1242,7 +1288,7 @@ class TestBroadPhaseReject:
         # sphere dead ahead: its forbidden cells are symmetric about the
         # desired angles (0, 0), so the nearest safe points, (+-0.25, 0)
         # and (0, +-0.25), tie four ways
-        for counter in ("visits", "rejected", "rasterized", "outside"):
+        for counter in ("visits", "rejected", "rasterized", "outside", "certified"):
             monkeypatch.setattr(CheckedChooser, counter, 0)
         model = ChainModel(
             base=np.zeros(3),
@@ -1459,3 +1505,60 @@ class TestLazySearch:
         pick = choose(1, desired, model.limits[1], joint_frames(model, state.angles)[1], tuple(state.positions[2]))
         assert chooser.tests and pick != clamp_to_limits(desired.pitch, desired.yaw, model.limits[1])
         assert in_safe_cell(chooser, 1, pick, chooser.tests), pick
+
+
+class TestCertificate:
+    """The chooser's plain-float certificate of the clamped cell against the
+    exact path it stands in for: _cell_tests, then _nearest_safe."""
+
+    def test_certifies_only_what_the_exact_path_picks_near_the_threshold(self):
+        # one sphere per case, its center reach * (1 +- 10**-k), k = 3 ... 15,
+        # from the link at the clamped cell's center, with random frames,
+        # pivots, limits and desired angles
+        rng = np.random.default_rng(25)
+        outcomes = collections.Counter()
+        for _ in range(60):
+            bounds = rng.uniform(0.0, 1.5, size=4) * (rng.random() < 0.8, 1.0, rng.random() < 0.8, 1.0)
+            limits = JointLimits(-bounds[0], bounds[1], -bounds[2], bounds[3])
+            length = float(rng.uniform(0.04, 0.12))
+            model = ChainModel(
+                base=np.zeros(3),
+                base_direction=np.array([1.0, 0.0, 0.0]),
+                links=[LinkSpec(length, 0.01)] * 2,
+                limits=[limits] * 2,
+            )
+            cfg = PlannerConfig(angular_resolution=float(rng.choice([math.radians(0.5), math.radians(2.0)])))
+            chooser = ConeConstraints(model, [], cfg)
+            forward, up = rng.normal(size=(2, 3))
+            forward /= np.linalg.norm(forward)
+            up -= np.dot(up, forward) * forward
+            frame = JointFrame(tuple(forward.tolist()), tuple((up / np.linalg.norm(up)).tolist()))
+            pivot = rng.uniform(-1.0, 1.0, size=3)
+            desired = JointAngles(*rng.uniform(-1.8, 1.8, size=2).tolist())
+            clamped = clamp_to_limits(desired.pitch, desired.yaw, limits)
+            (pe, pc, _, _), (ye, yc, _, _) = chooser.grids[0]
+            cell = (pc[vofabrik.planner._cell_of(pe, clamped[0])], yc[vofabrik.planner._cell_of(ye, clamped[1])])
+            direction = link_directions(frame, [cell[0]], [cell[1]])[0]
+            touch = float(rng.uniform(0.005, 0.05))
+            reach = touch + chooser._lips[0]
+            for k, side in itertools.product(range(3, 16), (1.0, -1.0)):
+                normal = np.cross(direction, rng.normal(size=3))
+                center = pivot + rng.uniform(0.05, 1.0) * length * direction
+                center += reach * (1.0 + side * 10.0**-k) * normal / np.linalg.norm(normal)
+                spheres = [(*center.tolist(), touch)]
+                p = tuple(pivot.tolist())
+                try:
+                    exact = chooser._nearest_safe(0, limits, desired, chooser._cell_tests(0, frame, p, spheres))
+                except SafeSetEmpty:
+                    exact = None
+                got = chooser._certify(0, desired, limits, frame, p, spheres)
+                if got is not None:
+                    assert got == exact == clamped, (k, side)
+                    outcomes["certified"] += 1
+                else:
+                    # declined only because of the margin when the exact
+                    # path picks the clamped angles all the same
+                    outcomes["margin" if exact == clamped else "declined"] += 1
+                if k <= 6:
+                    assert (got is not None) == (side > 0), (k, side)
+        assert min(outcomes["certified"], outcomes["declined"], outcomes["margin"]) > 0, outcomes
